@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import io
 import csv
+import decimal
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import checkerboard as cb
 from . import kinematics as kin
@@ -48,7 +50,10 @@ def format_number(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past 4,300 digits; Decimal is exact and unlimited
+            return str(decimal.Decimal(value))
     return format(float(value), ".17g")
 
 
@@ -65,10 +70,9 @@ def _write_json(obj, pieces: list[str]) -> None:
     elif isinstance(obj, bool):
         pieces.append("true" if obj else "false")
     elif isinstance(obj, str):
-        pieces.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, (float, Fraction, Surd)):
+        # the string encoder of json.dumps(obj, ensure_ascii=False)
+        pieces.append(encode_basestring(obj))
+    elif isinstance(obj, (int, float, Fraction, Surd)):
         pieces.append(format_number(obj))
     elif isinstance(obj, dict):
         pieces.append("{")

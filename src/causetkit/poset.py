@@ -2,8 +2,10 @@
 
 Each particle is a totally ordered chain of events.  An influence edge orders
 an event on one chain before an event on another.  The union of chain-successor
-edges and influence edges, closed transitively, is the causal order.  Posets
-are immutable after construction; any number of readers may query concurrently.
+edges and influence edges, closed transitively, is the causal order: one
+breadth-first search answers reachability, and two linear sweeps per chain give
+the projections onto it, cached on the poset at any size.  Posets are immutable
+after construction; any number of readers may query concurrently.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .errors import CycleError, PosetStructureError, SchemaError, UnknownEventEr
 EventId = str
 
 SCHEMA_VERSION = 1
-
-# Above this size the transitive closure is not precomputed and reachability
-# queries fall back to breadth-first search.
-_CLOSURE_MAX_EVENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,8 @@ class CausalPoset:
         "_index",
         "_succ",
         "_topo",
-        "_closure",
+        "_pred",
+        "_projections",
     )
 
     def __init__(self, events, chain_of, chains, influence_edges):
@@ -67,9 +66,8 @@ class CausalPoset:
         self._index = {e: i for i, e in enumerate(events)}
         self._succ = self._build_adjacency()
         self._topo = self._topological_order()
-        self._closure = None
-        if self._topo is not None and len(events) <= _CLOSURE_MAX_EVENTS:
-            self._closure = self._build_closure()
+        self._pred: list[list[int]] | None = None
+        self._projections: dict[str, tuple[list, list]] = {}
 
     # -- derived structure -------------------------------------------------
 
@@ -82,8 +80,8 @@ class CausalPoset:
             succ[self._index[a]].append(self._index[b])
         return succ
 
-    def _topological_order(self) -> tuple[int, ...] | None:
-        """Kahn's algorithm; None when the combined relation is cyclic."""
+    def _topological_order(self) -> tuple[int, ...]:
+        """Kahn's algorithm; on a cyclic relation, the prefix it can order."""
         indegree = [0] * len(self.events)
         for targets in self._succ:
             for t in targets:
@@ -97,19 +95,29 @@ class CausalPoset:
                 indegree[t] -= 1
                 if indegree[t] == 0:
                     ready.append(t)
-        if len(order) != len(self.events):
-            return None
         return tuple(order)
 
-    def _build_closure(self) -> list[int]:
-        """Reachability bitsets, filled in reverse topological order."""
-        masks = [0] * len(self.events)
-        for v in reversed(self._topo):
-            mask = 1 << v
-            for t in self._succ[v]:
-                mask |= masks[t]
-            masks[v] = mask
-        return masks
+    def _projection_positions(self, chain_id: str) -> tuple[list, list]:
+        """Per event index, the chain positions of its forward projection (the
+        first element at-or-above it) and backward projection (the last
+        element at-or-below it); None where no element qualifies."""
+        if chain_id not in self.chains:
+            raise UnknownEventError(f"unknown chain id: {chain_id!r}")
+        # filling the cache is idempotent, so concurrent readers need no lock
+        cached = self._projections.get(chain_id)
+        if cached is None:
+            if self._pred is None:
+                pred: list[list[int]] = [[] for _ in self.events]
+                for v, targets in enumerate(self._succ):
+                    for t in targets:
+                        pred[t].append(v)
+                self._pred = pred
+            targets = [(k, self._index[e]) for k, e in enumerate(self.chains[chain_id])]
+            cached = self._projections[chain_id] = (
+                _first_reached(targets, self._pred),
+                _first_reached(targets[::-1], self._succ),
+            )
+        return cached
 
     # -- queries -------------------------------------------------------------
 
@@ -127,7 +135,7 @@ class CausalPoset:
 
     @property
     def is_acyclic(self) -> bool:
-        return self._topo is not None
+        return len(self._topo) == len(self.events)
 
     def _idx(self, event: EventId) -> int:
         try:
@@ -136,10 +144,8 @@ class CausalPoset:
             raise UnknownEventError(f"unknown event id: {event!r}") from None
 
     def leq(self, x: EventId, y: EventId) -> bool:
-        """True iff y is reachable from x (reflexively) in the causal order."""
+        """True iff y is reachable from x (reflexively): one breadth-first search."""
         i, j = self._idx(x), self._idx(y)
-        if self._closure is not None:
-            return bool(self._closure[i] >> j & 1)
         if i == j:
             return True
         seen = {i}
@@ -156,26 +162,8 @@ class CausalPoset:
 
     def cycle_events(self) -> tuple[EventId, ...]:
         """Events that participate in (or depend on) a cycle; empty if acyclic."""
-        if self._topo is not None:
-            return ()
-        ordered = set(self._topo_prefix())
+        ordered = set(self._topo)
         return tuple(e for i, e in enumerate(self.events) if i not in ordered)
-
-    def _topo_prefix(self) -> list[int]:
-        indegree = [0] * len(self.events)
-        for targets in self._succ:
-            for t in targets:
-                indegree[t] += 1
-        ready = deque(i for i, d in enumerate(indegree) if d == 0)
-        order = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for t in self._succ[v]:
-                indegree[t] -= 1
-                if indegree[t] == 0:
-                    ready.append(t)
-        return order
 
     def __eq__(self, other):
         if not isinstance(other, CausalPoset):
@@ -194,12 +182,30 @@ class CausalPoset:
         )
 
 
+def _first_reached(targets: list[tuple[int, int]], adjacency: list[list[int]]) -> list:
+    """Label each vertex with the label of the first (label, vertex) target that
+    reaches it (reflexively) along adjacency; None if none does.  A walk expands
+    only unlabelled vertices, so one sweep costs O(V + E)."""
+    label: list = [None] * len(adjacency)
+    for k, start in targets:
+        if label[start] is not None:
+            continue
+        label[start] = k
+        stack = [start]
+        while stack:
+            for t in adjacency[stack.pop()]:
+                if label[t] is None:
+                    label[t] = k
+                    stack.append(t)
+    return label
+
+
 def build_poset(
     events: Iterable[tuple[EventId, str]],
     chains: Mapping[str, Iterable[EventId]],
     influence_edges: Iterable[tuple[EventId, EventId]],
 ) -> CausalPoset:
-    """Construct a poset with its reachability index.
+    """Construct a poset from its events, chain orders and influence edges.
 
     Only structural well-formedness is enforced here (ids resolve, no event
     sits on two chains).  Physics rules such as acyclicity and cross-chain
@@ -297,7 +303,7 @@ def causal_leq(poset: CausalPoset, x: EventId, y: EventId) -> bool:
 
 def topological_order(poset: CausalPoset) -> list[EventId]:
     """A linear extension of the causal order; raises CycleError if cyclic."""
-    if poset._topo is None:
+    if not poset.is_acyclic:
         raise CycleError(
             "no topological order: cycle among " + ", ".join(map(repr, poset.cycle_events()))
         )
@@ -351,12 +357,18 @@ def poset_from_document(doc) -> CausalPoset:
     if unknown:
         warnings.warn(f"ignoring unknown poset document keys: {', '.join(unknown)}")
     try:
-        events = [(entry["id"], entry["chain"]) for entry in doc["events"]]
-        chains = {chain: list(order) for chain, order in doc["chains"].items()}
-        influence = [(src, dst) for src, dst in doc["influence"]]
-    except (TypeError, KeyError, ValueError) as exc:
+        events = [(_id(entry["id"]), _id(entry["chain"])) for entry in doc["events"]]
+        chains = {_id(c): [_id(e) for e in order] for c, order in doc["chains"].items()}
+        influence = [(_id(src), _id(dst)) for src, dst in doc["influence"]]
+    except (TypeError, KeyError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed poset document: {exc}") from exc
     return build_poset(events, chains, influence)
+
+
+def _id(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"event ids and chain names must be strings, got {value!r}")
+    return value
 
 
 def load_poset(source: str | IO[str]) -> CausalPoset:

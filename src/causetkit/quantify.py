@@ -90,26 +90,19 @@ class Projection:
 ABSENT = Projection(None)
 
 
+def _project(poset: CausalPoset, chain_id: str, x: EventId, side: int) -> Projection:
+    k = poset._projection_positions(chain_id)[side][poset._idx(x)]
+    return ABSENT if k is None else Projection(poset.chains[chain_id][k])
+
+
 def forward_project(poset: CausalPoset, chain_id: str, x: EventId) -> Projection:
     """Minimum chain element causally at-or-above x; a chain element projects onto itself."""
-    if chain_id not in poset.chains:
-        raise UnknownEventError(f"unknown chain id: {chain_id!r}")
-    poset._idx(x)
-    for c in poset.chains[chain_id]:
-        if poset.leq(x, c):
-            return Projection(c)
-    return ABSENT
+    return _project(poset, chain_id, x, 0)
 
 
 def backward_project(poset: CausalPoset, chain_id: str, x: EventId) -> Projection:
     """Maximum chain element causally at-or-below x (dual of forward_project)."""
-    if chain_id not in poset.chains:
-        raise UnknownEventError(f"unknown chain id: {chain_id!r}")
-    poset._idx(x)
-    for c in reversed(poset.chains[chain_id]):
-        if poset.leq(c, x):
-            return Projection(c)
-    return ABSENT
+    return _project(poset, chain_id, x, 1)
 
 
 @dataclass(frozen=True)
@@ -145,30 +138,21 @@ def interval_pair(
     Raises UnquantifiableIntervalError when any required projection is absent.
     """
 
-    def _forward(valuation: ChainValuation, event: EventId):
-        proj = forward_project(poset, valuation.chain_id, event)
+    def _value(valuation: ChainValuation, event: EventId, direction="forward"):
+        project = forward_project if direction == "forward" else backward_project
+        proj = project(poset, valuation.chain_id, event)
         if not proj.present:
             raise UnquantifiableIntervalError(
-                f"unquantifiable interval: {event!r} has no forward projection "
+                f"unquantifiable interval: {event!r} has no {direction} projection "
                 f"onto chain {valuation.chain_id!r}"
             )
         return valuation.value(proj.event)
 
-    def _backward(valuation: ChainValuation, event: EventId):
-        proj = backward_project(poset, valuation.chain_id, event)
-        if not proj.present:
-            raise UnquantifiableIntervalError(
-                f"unquantifiable interval: {event!r} has no backward projection "
-                f"onto chain {valuation.chain_id!r}"
-            )
-        return valuation.value(proj.event)
-
+    dp = _value(valuation_p, b) - _value(valuation_p, a)
     if valuation_q is None:
-        dp = _forward(valuation_p, b) - _forward(valuation_p, a)
-        dq = _backward(valuation_p, b) - _backward(valuation_p, a)
+        dq = _value(valuation_p, b, "backward") - _value(valuation_p, a, "backward")
         return IntervalPair(dp, dq, MODE_SINGLE_CHAIN)
-    dp = _forward(valuation_p, b) - _forward(valuation_p, a)
-    dq = _forward(valuation_q, b) - _forward(valuation_q, a)
+    dq = _value(valuation_q, b) - _value(valuation_q, a)
     return IntervalPair(dp, dq, MODE_COORDINATED)
 
 
@@ -384,27 +368,24 @@ def quantification_rows(
     Coordinated mode adds (t, x) from the two forward projections:
     t = (p + q)/2, x = (p - q)/2.
     """
+
+    def values(valuation: ChainValuation) -> list[list]:
+        order = poset.chains[valuation.chain_id]
+        return [
+            [None if k is None else valuation.value(order[k]) for k in positions]
+            for positions in poset._projection_positions(valuation.chain_id)
+        ]
+
+    p_fwd, p_bwd = values(valuation_p)
+    q_fwd = q_bwd = [None] * poset.n_events
+    if valuation_q is not None:
+        q_fwd, q_bwd = values(valuation_q)
     rows = []
-    for event in poset.events:
-        fwd_p = forward_project(poset, valuation_p.chain_id, event)
-        bwd_p = backward_project(poset, valuation_p.chain_id, event)
-        row = {
-            "event_id": event,
-            "p_fwd": valuation_p.value(fwd_p.event) if fwd_p.present else None,
-            "p_bwd": valuation_p.value(bwd_p.event) if bwd_p.present else None,
-            "q_fwd": None,
-            "q_bwd": None,
-            "t": None,
-            "x": None,
-        }
-        if valuation_q is not None:
-            fwd_q = forward_project(poset, valuation_q.chain_id, event)
-            bwd_q = backward_project(poset, valuation_q.chain_id, event)
-            row["q_fwd"] = valuation_q.value(fwd_q.event) if fwd_q.present else None
-            row["q_bwd"] = valuation_q.value(bwd_q.event) if bwd_q.present else None
-            if fwd_p.present and fwd_q.present:
-                p, q = row["p_fwd"], row["q_fwd"]
-                row["t"] = (p + q) / 2
-                row["x"] = (p - q) / 2
-        rows.append(row)
+    for event, p, p_back, q, q_back in zip(poset.events, p_fwd, p_bwd, q_fwd, q_bwd):
+        t = x = None
+        if p is not None and q is not None:
+            t, x = (p + q) / 2, (p - q) / 2
+        rows.append(
+            dict(event_id=event, p_fwd=p, p_bwd=p_back, q_fwd=q, q_bwd=q_back, t=t, x=x)
+        )
     return rows

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, deterministic CSV/JSON, artifacts."""
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -73,6 +74,27 @@ class TestValidateCommand:
         assert doc["ok"] is False
         assert doc["violations"][0]["rule"] == "cycle"
 
+    @pytest.mark.parametrize("bad_id", [[1], 1])
+    def test_non_string_id_exits_two(self, capsys, tmp_path, bad_id):
+        doc = {
+            "version": 1,
+            "events": [{"id": bad_id, "chain": "P"}],
+            "chains": {"P": [bad_id]},
+            "influence": [],
+        }
+        path = tmp_path / "bad_id.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert "must be strings" in err
+
+    def test_chains_not_an_object_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad_chains.json"
+        path.write_text(json.dumps({"version": 1, "events": [], "chains": [], "influence": []}))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert "malformed poset document" in err
+
 
 class TestQuantifyCommand:
     def test_coordinated_table(self, capsys, ladder_file):
@@ -117,6 +139,20 @@ class TestQuantifyCommand:
         assert doc["chain"] == "P"
         assert doc["rows"][0]["event_id"] == "p0"
 
+    def test_json_escapes_control_characters(self, capsys, tmp_path):
+        ids = ["line\nbreak", "tab\tbed", "ctl\x01", 'quote"back\\slash', "ünï"]
+        doc = {
+            "version": 1,
+            "events": [{"id": e, "chain": "P"} for e in ids],
+            "chains": {"P": ids},
+            "influence": [],
+        }
+        path = tmp_path / "odd_ids.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "quantify", str(path), "--chain", "P", "--emit", "json")
+        assert code == 0
+        assert [row["event_id"] for row in json.loads(out)["rows"]] == ids
+
     def test_byte_identical_reruns(self, capsys, ladder_file):
         _, first, _ = run(capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "Q")
         _, second, _ = run(capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "Q")
@@ -130,6 +166,14 @@ class TestParticleCommand:
         doc = json.loads(out)
         assert doc["orderings"] == 10
         assert doc["counts"] == {"P": 3, "Q": 2}
+
+    def test_orderings_past_int_string_limit(self, capsys):
+        # C(14600, 7300) has 4,393 digits, past str(int)'s default limit
+        code, out, _ = run(capsys, "particle", "--counts", "7300,7300")
+        assert code == 0
+        digits = json.loads(out, parse_int=str)["orderings"]
+        assert len(digits) > 4300
+        assert decimal.Decimal(digits) == math.comb(14600, 7300)
 
     def test_sequence_path_csv(self, capsys):
         code, out, _ = run(capsys, "particle", "--sequence", "PPQ", "--emit", "csv")

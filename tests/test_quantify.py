@@ -1,6 +1,9 @@
 """Chain valuations, projections, interval pairs, and the emergent metric."""
 
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +50,27 @@ rationals = st.fractions(
 positive_rationals = st.fractions(
     min_value=Fraction(1, 25), max_value=Fraction(30), max_denominator=25
 )
+
+
+@st.composite
+def unruly_posets(draw):
+    """Random posets that may hold cycles, self-loops, intra-chain edges,
+    empty chains and events missing from their chain's order."""
+    n = draw(st.integers(1, 14))
+    n_chains = draw(st.integers(1, 3))
+    chain_of = draw(st.lists(st.integers(0, n_chains - 1), min_size=n, max_size=n))
+    chains = {}
+    for c in range(n_chains):
+        members = draw(st.permutations([i for i in range(n) if chain_of[i] == c]))
+        dropped = draw(st.sets(st.sampled_from(members))) if members else set()
+        chains[f"c{c}"] = [f"e{i}" for i in members if i not in dropped]
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    return build_poset(
+        [(f"e{i}", f"c{chain_of[i]}") for i in range(n)],
+        chains,
+        [(f"e{i}", f"e{j}") for i, j in edges],
+    )
 
 
 def scan_projection(poset, chain_id, x, direction):
@@ -128,13 +152,21 @@ class TestProjections:
         assert scan_projection(poset, "P", "x", "backward") == "p2"
         assert backward_project(poset, "P", "x").event == "p2"
 
+    @staticmethod
+    def assert_matches_scan_oracle(poset):
+        for event in poset.events:
+            for chain in poset.chains:
+                fwd = forward_project(poset, chain, event)
+                bwd = backward_project(poset, chain, event)
+                assert fwd.event == scan_projection(poset, chain, event, "forward")
+                assert bwd.event == scan_projection(poset, chain, event, "backward")
+
     def test_matches_scan_oracle_everywhere(self, ladder):
-        for event in ladder.events:
-            for chain in ("P", "Q"):
-                fwd = forward_project(ladder, chain, event)
-                bwd = backward_project(ladder, chain, event)
-                assert fwd.event == scan_projection(ladder, chain, event, "forward")
-                assert bwd.event == scan_projection(ladder, chain, event, "backward")
+        self.assert_matches_scan_oracle(ladder)
+
+    @given(unruly_posets())
+    def test_matches_scan_oracle_on_unruly_posets(self, poset):
+        self.assert_matches_scan_oracle(poset)
 
     def test_unknown_chain(self, ladder):
         with pytest.raises(UnknownEventError):
@@ -421,6 +453,60 @@ class TestQuantificationRows:
         # no forward projection onto P exists for the top of chain Q
         assert rows["q7"]["p_fwd"] is None
         assert rows["q7"]["t"] is None
+
+    def test_ladder_rows_past_ten_thousand_events(self):
+        # closed form for offset k: q_j projects forward onto P at j+k and
+        # backward at j-k, and coordinated events sit at x = +-k/2
+        n, k = 5_003, 3
+        poset = ladder_poset(n, k)
+        assert poset.n_events > 10_000
+        val_p = ChainValuation.from_poset(poset, "P")
+        val_q = ChainValuation.from_poset(poset, "Q")
+        rows = {row["event_id"]: row for row in quantification_rows(poset, val_p, val_q)}
+        for j in range(n):
+            fwd = j + k if j + k < n else None
+            bwd = j - k if j >= k else None
+            q_row, p_row = rows[f"q{j}"], rows[f"p{j}"]
+            assert (q_row["p_fwd"], q_row["p_bwd"]) == (fwd, bwd)
+            assert (q_row["q_fwd"], q_row["q_bwd"]) == (j, j)
+            assert (p_row["q_fwd"], p_row["q_bwd"]) == (fwd, bwd)
+            assert (p_row["p_fwd"], p_row["p_bwd"]) == (j, j)
+            if fwd is None:
+                assert q_row["x"] is None and p_row["x"] is None
+            else:
+                assert q_row["x"] == Fraction(k, 2)
+                assert p_row["x"] == -Fraction(k, 2)
+                assert q_row["t"] == p_row["t"] == j + Fraction(k, 2)
+
+    def test_concurrent_first_queries_agree(self):
+        # threads race to fill a fresh poset's projection cache, five times
+        def rows(poset):
+            val_p = ChainValuation.from_poset(poset, "P")
+            return quantification_rows(poset, val_p, ChainValuation.from_poset(poset, "Q"))
+
+        expected = rows(ladder_poset(200, 2))
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                poset, results = ladder_poset(200, 2), []
+                barrier = threading.Barrier(n_threads)
+
+                def work():
+                    barrier.wait(timeout=30)
+                    results.append(rows(poset))
+
+                threads = [threading.Thread(target=work) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == n_threads
+                assert all(r == expected for r in results)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_single_chain_rows(self, ladder):
         val_p = ChainValuation.from_poset(ladder, "P")
