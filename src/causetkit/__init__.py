@@ -84,6 +84,7 @@ from .checkerboard import (
     ConstraintReport,
     DerivedWeighting,
     FeynmanWeighting,
+    KernelColumns,
     PathWeight,
     PropagatorPair,
     Spinor,
@@ -93,6 +94,7 @@ from .checkerboard import (
     expand_sequence,
     kernel,
     kernel_discrepancy,
+    kernel_history,
     kernel_matrix,
     kernel_pathsum,
     make_propagators,

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .kinematics import (
     P_MOVE,
     Q_MOVE,
     UnorderedInfluenceCount,
-    count_orderings,
     enumerate_orderings,
 )
 
@@ -179,6 +178,10 @@ def make_propagators(
     a: float, b: float, phase_alpha: float = 0.0, phase_beta: float = math.pi / 2
 ) -> PropagatorPair:
     """Build the per-move matrices, enforcing a, b >= 0 and a^2 + b^2 = 1."""
+    # every comparison with NaN is false, so the range checks below would pass it
+    given = {"a": a, "b": b, "phase_alpha": phase_alpha, "phase_beta": phase_beta}
+    if bad := [f"{name}={value!r}" for name, value in given.items() if not math.isfinite(value)]:
+        raise ValueError(f"propagator parameters must be finite, got {', '.join(bad)}")
     # grid endpoints like cos(pi/2) land a rounding error below zero
     if a < -_TOL or b < -_TOL:
         raise ValueError("propagator magnitudes must be nonnegative")
@@ -365,10 +368,6 @@ def unordered_amplitude(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Spinor:
     """Sum of sequence amplitudes over every ordering of the given counts."""
-    if count_orderings(counts) > cap:
-        raise CapExceededError(
-            f"{count_orderings(counts)} orderings exceed the cap of {cap}"
-        )
     total = np.zeros(2, dtype=complex)
     for seq in enumerate_orderings(counts, cap=cap):
         total += sequence_amplitude(seq, pp, initial).as_array()
@@ -416,28 +415,12 @@ class CheckerboardField:
             raise ValueError(f"helicity must be 'P' or 'Q', got {helicity!r}")
         return cls(psi_p, psi_q, radius, epsilon)
 
-    @classmethod
-    def from_sites(
-        cls, sites: Mapping[int, Spinor], radius: int, epsilon: float = 1.0
-    ) -> "CheckerboardField":
-        psi_p = np.zeros(2 * radius + 1, dtype=complex)
-        psi_q = np.zeros(2 * radius + 1, dtype=complex)
-        for pos, spinor in sites.items():
-            if abs(pos) > radius:
-                raise ValueError(f"site {pos} outside allocated radius {radius}")
-            psi_p[pos + radius] = spinor.phi_p
-            psi_q[pos + radius] = spinor.phi_q
-        return cls(psi_p, psi_q, radius, epsilon)
-
     @property
     def sites(self) -> dict[int, Spinor]:
         """Nonzero sites as a mapping position -> Spinor."""
-        out = {}
-        for i in range(2 * self.radius + 1):
-            p, q = self.psi_p[i], self.psi_q[i]
-            if p != 0 or q != 0:
-                out[i - self.radius] = Spinor(complex(p), complex(q))
-        return out
+        (nonzero,) = np.nonzero((self.psi_p != 0) | (self.psi_q != 0))
+        spinors = map(Spinor, self.psi_p[nonzero].tolist(), self.psi_q[nonzero].tolist())
+        return dict(zip((nonzero - self.radius).tolist(), spinors))
 
     def spinor_at(self, position: int) -> Spinor:
         i = position + self.radius
@@ -524,15 +507,59 @@ def kernel_pathsum(
     return out
 
 
+_HELICITIES = np.array([P_MOVE, Q_MOVE])
+
+
+class KernelColumns(NamedTuple):
+    """Kernel entries as parallel arrays sorted by (position, helicity 'P' < 'Q')."""
+
+    positions: np.ndarray
+    helicities: np.ndarray
+    amplitudes: np.ndarray
+
+    @classmethod
+    def from_field(cls, field: CheckerboardField) -> "KernelColumns":
+        """The nonzero components of a field, site-major with P before Q."""
+        stacked = np.stack((field.psi_p, field.psi_q), axis=1)
+        site, helicity = np.nonzero(stacked)
+        return cls(site - field.radius, _HELICITIES[helicity], stacked[site, helicity])
+
+    @classmethod
+    def from_kernel(cls, k: Kernel) -> "KernelColumns":
+        """Every entry of a kernel mapping, zero amplitudes included."""
+        keys = sorted(k)
+        positions, helicities = zip(*keys)
+        amplitudes = np.array([k[key] for key in keys], dtype=complex)
+        return cls(np.array(positions), np.array(helicities), amplitudes)
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Elementwise re^2 + im^2: the same floats as `born` gives."""
+        return self.amplitudes.real**2 + self.amplitudes.imag**2
+
+    def as_kernel(self) -> Kernel:
+        keys = zip(self.positions.tolist(), self.helicities.tolist())
+        return dict(zip(keys, self.amplitudes.tolist()))
+
+
 def field_kernel(field: CheckerboardField) -> Kernel:
     """Nonzero field amplitudes as a mapping (position, helicity) -> amplitude."""
-    out: Kernel = {}
-    for position, spinor in field.sites.items():
-        if spinor.phi_p != 0:
-            out[(position, P_MOVE)] = spinor.phi_p
-        if spinor.phi_q != 0:
-            out[(position, Q_MOVE)] = spinor.phi_q
-    return out
+    return KernelColumns.from_field(field).as_kernel()
+
+
+def kernel_history(
+    steps: int, pp: PropagatorPair, initial_helicity: str
+) -> list[KernelColumns]:
+    """Nonzero amplitudes after each of 0..steps transfer-matrix steps.
+
+    Entry t holds the columns of a point source stepped t times.
+    """
+    field = CheckerboardField.point_source(initial_helicity, steps)
+    history = [KernelColumns.from_field(field)]
+    for _ in range(steps):
+        field = step_field(field, pp)
+        history.append(KernelColumns.from_field(field))
+    return history
 
 
 def kernel_matrix(steps: int, pp: PropagatorPair, initial_helicity: str) -> Kernel:
@@ -564,7 +591,3 @@ def kernel_discrepancy(first: Kernel, second: Kernel) -> float:
     if not keys:
         return 0.0
     return max(abs(first.get(k, 0j) - second.get(k, 0j)) for k in keys)
-
-
-def kernel_probabilities(k: Kernel) -> dict[tuple[int, str], float]:
-    return {key: born(amp) for key, amp in k.items()}

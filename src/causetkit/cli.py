@@ -16,6 +16,8 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
+import numpy as np
+
 from . import checkerboard as cb
 from . import kinematics as kin
 from . import quantify as qt
@@ -289,20 +291,12 @@ def cmd_particle(args) -> int:
     return 0
 
 
-def _kernel_rows(step: int, k: cb.Kernel) -> list[dict]:
-    rows = []
-    for (position, helicity), amp in sorted(k.items()):
-        rows.append(
-            {
-                "t": step,
-                "x": position,
-                "helicity": helicity,
-                "amp_re": amp.real,
-                "amp_im": amp.imag,
-                "probability": cb.born(amp),
-            }
-        )
-    return rows
+# one row per (t, x, helicity); '%.17g' prints the same digits as format_number
+_KERNEL_CSV_ROW = "%d,%d,%s,%.17g,%.17g,%.17g\n"
+_KERNEL_JSON_ROW = (
+    '{"amp_im": %.17g, "amp_re": %.17g, "helicity": "%s", '
+    '"probability": %.17g, "t": %d, "x": %d}'
+)
 
 
 def cmd_checkerboard(args) -> int:
@@ -316,65 +310,76 @@ def cmd_checkerboard(args) -> int:
         pp = cb.zero_momentum_propagators()
 
     steps = args.steps
-    rows: list[dict] = []
-    slices: list[tuple[int, dict[int, float]]] = []
-    discrepancy = None
-
-    if args.method in ("matrix", "both"):
-        field = cb.CheckerboardField.point_source(args.initial, steps)
-        history = [(0, cb.field_kernel(field))]
-        for _ in range(steps):
-            field = cb.step_field(field, pp)
-            history.append((field.step_count, cb.field_kernel(field)))
-        for step, k in history:
-            rows.extend(_kernel_rows(step, k))
-            probs: dict[int, float] = {}
-            for (position, _), amp in k.items():
-                probs[position] = probs.get(position, 0.0) + cb.born(amp)
-            slices.append((step, probs))
-        final = history[-1][1]
+    if args.method == "pathsum":
+        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
+        slices = [(steps, cb.KernelColumns.from_kernel(pathsum))]
     else:
-        final = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
-        rows.extend(_kernel_rows(steps, final))
-        probs = {}
-        for (position, _), amp in final.items():
-            probs[position] = probs.get(position, 0.0) + cb.born(amp)
-        slices.append((steps, probs))
+        # slice t holds at most 2(t+1) rows
+        row_bound = (steps + 1) * (steps + 2)
+        if row_bound > args.cap:
+            raise CapExceededError(
+                f"the matrix method writes up to {row_bound} rows for {steps} steps, "
+                f"over the cap of {args.cap}"
+            )
+        slices = list(enumerate(cb.kernel_history(steps, pp, args.initial)))
 
+    discrepancy = None
     if args.method == "both":
         pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
-        discrepancy = cb.kernel_discrepancy(final, pathsum)
+        discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
 
     artifacts: dict[str, str] = {}
     primary = f"checkerboard.{args.emit}"
-    if args.emit == "json":
-        doc = {
-            "steps": steps,
-            "a": pp.a,
-            "b": pp.b,
-            "initial_helicity": args.initial,
-            "method": args.method,
-            "tolerance": _TOLERANCE,
-            "rows": [
-                {k: _jsonable(v) for k, v in row.items()} for row in rows
-            ],
-        }
-        if discrepancy is not None:
-            doc["max_discrepancy"] = discrepancy
-        artifacts[primary] = canonical_json(doc) + "\n"
-    elif args.emit == "svg":
-        artifacts[primary] = probability_svg(slices)
-    else:
-        artifacts[primary] = rows_to_csv(
-            rows, ["t", "x", "helicity", "amp_re", "amp_im", "probability"]
+    if args.emit == "svg":
+        artifacts[primary] = probability_svg(
+            [(step, _position_probabilities(cols)) for step, cols in slices]
         )
-        if discrepancy is not None:
-            print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
+    else:
+        t = np.repeat([step for step, _ in slices], [len(c.amplitudes) for _, c in slices])
+        cols = cb.KernelColumns(*map(np.concatenate, zip(*(c for _, c in slices))))
+        t, x, helicity = t.tolist(), cols.positions.tolist(), cols.helicities.tolist()
+        re, im = cols.amplitudes.real.tolist(), cols.amplitudes.imag.tolist()
+        probability = cols.probabilities.tolist()
+        if args.emit == "json":
+            doc = {
+                "steps": steps,
+                "a": pp.a,
+                "b": pp.b,
+                "initial_helicity": args.initial,
+                "method": args.method,
+                "tolerance": _TOLERANCE,
+                "rows": [],
+            }
+            if discrepancy is not None:
+                doc["max_discrepancy"] = discrepancy
+            rows = map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x))
+            artifacts[primary] = canonical_json(doc).replace(
+                '"rows": []', '"rows": [' + ", ".join(rows) + "]"
+            ) + "\n"
+        else:
+            rows = map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability))
+            artifacts[primary] = "t,x,helicity,amp_re,amp_im,probability\n" + "".join(rows)
+            if discrepancy is not None:
+                print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
     _deliver(args, artifacts, primary)
     return 0
 
 
+def _position_probabilities(cols: cb.KernelColumns) -> dict[int, float]:
+    """Born probability summed over helicity at each position the columns hold."""
+    positions, first = np.unique(cols.positions, return_index=True)
+    totals = np.add.reduceat(cols.probabilities, first)
+    return dict(zip(positions.tolist(), totals.tolist()))
+
+
 # -- parser -------------------------------------------------------------------------
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,13 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="propagator kernels by path sum or transfer matrix",
         description=_CHECKERBOARD_NOTES,
     )
-    p_c.add_argument("--steps", type=int, required=True)
+    p_c.add_argument("--steps", type=nonnegative_int, required=True)
     p_c.add_argument("--theta", type=float, default=None, help="(a, b) = (cos, sin) of theta")
     p_c.add_argument("--mass", type=float, default=None)
     p_c.add_argument("--eps", type=float, default=None, help="time step (default 1.0)")
     p_c.add_argument("--initial", choices=["P", "Q"], default="P", help="initial helicity")
     p_c.add_argument("--method", choices=["matrix", "pathsum", "both"], default="matrix")
-    p_c.add_argument("--cap", type=int, default=cb.DEFAULT_PATHSUM_CAP)
+    p_c.add_argument("--cap", type=int, default=cb.DEFAULT_PATHSUM_CAP,
+                     help="most move strings for pathsum, most rows for matrix")
     p_c.add_argument("--emit", choices=["csv", "json", "svg"], default="csv")
     p_c.add_argument("--outdir", default=None)
     p_c.set_defaults(func=cmd_checkerboard)

@@ -188,7 +188,10 @@ class Surd:
 
     def __eq__(self, other):
         if isinstance(other, float):
-            return float(self) == other
+            # exact, like int == float, so equal values hash alike
+            if not math.isfinite(other):
+                return False
+            other = Fraction(other)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

@@ -357,12 +357,18 @@ def poset_from_document(doc) -> CausalPoset:
     if unknown:
         warnings.warn(f"ignoring unknown poset document keys: {', '.join(unknown)}")
     try:
-        events = [(_id(entry["id"]), _id(entry["chain"])) for entry in doc["events"]]
-        chains = {_id(c): [_id(e) for e in order] for c, order in doc["chains"].items()}
-        influence = [(_id(src), _id(dst)) for src, dst in doc["influence"]]
+        events = [(_id(entry["id"]), _id(entry["chain"])) for entry in _array(doc["events"])]
+        chains = {_id(c): [_id(e) for e in _array(o)] for c, o in doc["chains"].items()}
+        influence = [(_id(src), _id(dst)) for src, dst in map(_array, _array(doc["influence"]))]
     except (TypeError, KeyError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed poset document: {exc}") from exc
     return build_poset(events, chains, influence)
+
+
+def _array(value) -> list:
+    if isinstance(value, list):  # a string or object would iterate as characters or keys
+        return value
+    raise TypeError(f"events, chain orders and influence edges must be arrays, got {value!r}")
 
 
 def _id(value) -> str:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causetkit import (
     BoundaryError,
@@ -13,6 +15,7 @@ from causetkit import (
     DerivedWeighting,
     FeynmanWeighting,
     InfluenceSequence,
+    KernelColumns,
     Spinor,
     UnorderedInfluenceCount,
     amp_add,
@@ -20,6 +23,7 @@ from causetkit import (
     born,
     kernel,
     kernel_discrepancy,
+    kernel_history,
     kernel_matrix,
     kernel_pathsum,
     make_propagators,
@@ -37,6 +41,7 @@ from causetkit import (
     verify_propagator_constraints,
     zero_momentum_propagators,
 )
+from causetkit.checkerboard import field_kernel
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -139,6 +144,19 @@ class TestPropagators:
     def test_normalization_rejected(self):
         with pytest.raises(ValueError):
             make_propagators(0.9, 0.1)
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: make_propagators(math.nan, 1.0), "a=nan"),
+            (lambda: make_propagators(1.0, 0.0, phase_beta=math.inf), "phase_beta=inf"),
+            (lambda: propagators_from_mass(math.nan, 1.0), "a=nan, b=nan"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build, named):
+        # NaN passes every range check, so it must be caught by name
+        with pytest.raises(ValueError, match=named):
+            build()
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
@@ -346,6 +364,89 @@ class TestFieldStepping:
         field = CheckerboardField.point_source("P", 2)
         assert set(field.sites) == {0}
         assert field.sites[0].phi_p == 1
+
+
+# -- per-site loops: the reference for the column extraction -----------------
+
+
+def loop_sites(field):
+    out = {}
+    for i in range(2 * field.radius + 1):
+        p, q = field.psi_p[i], field.psi_q[i]
+        if p != 0 or q != 0:
+            out[i - field.radius] = Spinor(complex(p), complex(q))
+    return out
+
+
+def loop_kernel(field):
+    out = {}
+    for position, spinor in loop_sites(field).items():
+        if spinor.phi_p != 0:
+            out[(position, "P")] = spinor.phi_p
+        if spinor.phi_q != 0:
+            out[(position, "Q")] = spinor.phi_q
+    return out
+
+
+def same_items(got: dict, expected: dict) -> bool:
+    # repr tells -0.0 from 0.0 and lets NaN equal itself; order matters
+    return repr(list(got.items())) == repr(list(expected.items()))
+
+
+# signed zeros, NaN, a subnormal and ordinary values, so the nonzero filter
+# sees every case the loop's `!= 0` distinguishes
+COMPONENTS = [0.0, -0.0, 1.0, -0.5, 5e-324, math.nan, math.inf]
+site_values = st.builds(complex, st.sampled_from(COMPONENTS), st.sampled_from(COMPONENTS))
+
+
+class TestColumnsAgainstLoops:
+    @given(
+        psi=st.integers(0, 6).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.lists(site_values, min_size=2 * r + 1, max_size=2 * r + 1),
+                st.lists(site_values, min_size=2 * r + 1, max_size=2 * r + 1),
+            )
+        )
+    )
+    def test_arbitrary_fields(self, psi):
+        radius, psi_p, psi_q = psi
+        field = CheckerboardField(psi_p, psi_q, radius)
+        expected = loop_kernel(field)
+        assert same_items(field.sites, loop_sites(field))
+        assert same_items(field_kernel(field), expected)
+        assert repr(KernelColumns.from_field(field).probabilities.tolist()) == repr(
+            [born(amp) for amp in expected.values()]
+        )
+
+    @given(
+        steps=st.integers(0, 40),
+        theta=st.one_of(
+            st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)
+        ),
+        initial=st.sampled_from(["P", "Q"]),
+    )
+    def test_history_matches_stepped_fields(self, steps, theta, initial):
+        pp = propagators_from_theta(theta)
+        history = kernel_history(steps, pp, initial)
+        assert len(history) == steps + 1
+        field = CheckerboardField.point_source(initial, steps)
+        for t, columns in enumerate(history):
+            if t:
+                field = step_field(field, pp)
+            expected = loop_kernel(field)
+            assert same_items(columns.as_kernel(), expected)
+            assert repr(columns.probabilities.tolist()) == repr(
+                [born(amp) for amp in expected.values()]
+            )
+        assert same_items(kernel_matrix(steps, pp, initial), loop_kernel(field))
+
+    def test_from_kernel_sorts_and_keeps_zeros(self):
+        # theta 0 forbids reversals: the path sum holds exact-zero entries
+        k = kernel_pathsum(6, propagators_from_theta(0.0), "Q")
+        assert 0j in k.values()
+        columns = KernelColumns.from_kernel(k)
+        assert same_items(columns.as_kernel(), dict(sorted(k.items())))
 
 
 class TestKernels:

@@ -88,6 +88,27 @@ class TestValidateCommand:
         assert code == 2
         assert "must be strings" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chains", {"P": "ab"}), ("influence", ["ab"]), ("influence", {"ab": 1})],
+    )
+    def test_string_or_object_where_array_expected_exits_two(
+        self, capsys, tmp_path, field, value
+    ):
+        doc = {
+            "version": 1,
+            "events": [{"id": "a", "chain": "P"}, {"id": "b", "chain": "P"}],
+            "chains": {"P": ["a", "b"]},
+            "influence": [],
+        }
+        doc[field] = value
+        path = tmp_path / "not_arrays.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be arrays" in err
+
     def test_chains_not_an_object_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad_chains.json"
         path.write_text(json.dumps({"version": 1, "events": [], "chains": [], "influence": []}))
@@ -265,6 +286,30 @@ class TestCheckerboardCommand:
         code, out, _ = run(capsys, "checkerboard", "--steps", "3", "--method", "pathsum")
         rows = parse_csv(out)
         assert {row["t"] for row in rows} == {"3"}
+
+    @pytest.mark.parametrize("method", ["matrix", "both"])
+    def test_matrix_row_cap_both_sides(self, capsys, method):
+        # 9 steps write at most (9 + 1) * (9 + 2) = 110 rows
+        argv = ("checkerboard", "--steps", "9", "--method", method)
+        code, _, err = run(capsys, *argv, "--cap", "109")
+        assert code == 3
+        assert "110 rows" in err
+        if method == "matrix":
+            code, out, _ = run(capsys, *argv, "--cap", "110")
+            assert code == 0
+            assert len(parse_csv(out)) <= 110
+
+    def test_negative_steps_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["checkerboard", "--steps", "-3"])
+        assert exc.value.code == 2
+        assert "--steps: must be nonnegative" in capsys.readouterr().err
+
+    def test_nan_mass_names_the_value(self, capsys):
+        code, out, err = run(capsys, "checkerboard", "--steps", "3", "--mass", "nan")
+        assert code == 1
+        assert out == ""
+        assert "must be finite, got a=nan" in err
 
     def test_mass_and_theta_conflict(self, capsys):
         code, _, _ = run(

@@ -100,6 +100,13 @@ class TestOrdering:
     def test_irrational_never_equals_rational(self):
         assert sqrt_exact(2) != Fraction(141421356, 100000000)
 
+    def test_float_equality_is_exact(self):
+        assert sqrt_exact(2) != float(sqrt_exact(2))
+        assert Surd(Fraction(3, 4)) == 0.75
+        assert Surd(Fraction(1, 3)) != 1 / 3
+        assert Surd(0) == -0.0
+        assert sqrt_exact(2) != math.nan and sqrt_exact(2) != math.inf
+
     def test_comparisons(self):
         assert sqrt_exact(2) < sqrt_exact(3)
         assert -sqrt_exact(3) < -sqrt_exact(2)
@@ -126,3 +133,35 @@ def test_ordering_consistent_with_float(q, r):
     s = Surd(q, r)
     t = Surd(q + 1, r)
     assert (s < t) == (float(s) < float(t))
+
+
+NUMBER_FORMS = ["surd", "surd-other-form", "float", "fraction", "int", "nan", "inf"]
+
+
+def number_form(kind: str, num: int, den: int, radicand: int):
+    """The value (num/den)*sqrt(radicand) as one number type, rounded where it must be."""
+    value = Surd(Fraction(num, den), radicand)
+    if kind == "surd":
+        return value
+    if kind == "surd-other-form":
+        return Surd(Fraction(num, 2 * den), 4 * radicand)
+    if kind == "float":
+        return float(value)
+    if kind == "fraction":
+        return value.coeff if value.is_rational else Fraction(float(value))
+    if kind == "int":
+        return round(float(value))
+    return float(kind)
+
+
+@given(
+    value=st.tuples(
+        st.integers(-40, 40), st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 3, 4, 9])
+    ),
+    kinds=st.tuples(st.sampled_from(NUMBER_FORMS), st.sampled_from(NUMBER_FORMS)),
+)
+def test_equal_numbers_hash_alike(value, kinds):
+    a, b = (number_form(kind, *value) for kind in kinds)
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
