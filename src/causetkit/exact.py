@@ -184,17 +184,15 @@ class Surd:
             return other
         if isinstance(other, Rational):
             return Surd(other)
+        if isinstance(other, float) and math.isfinite(other):
+            # exact, as int and Fraction compare with floats, so equal values hash alike
+            return Surd(Fraction(other))
         return None
 
     def __eq__(self, other):
-        if isinstance(other, float):
-            # exact, like int == float, so equal values hash alike
-            if not math.isfinite(other):
-                return False
-            other = Fraction(other)
         rhs = self._coerce(other)
         if rhs is None:
-            return NotImplemented
+            return False if isinstance(other, float) else NotImplemented  # inf or NaN
         return self._sign() == rhs._sign() and self.squared() == rhs.squared()
 
     def __hash__(self):
@@ -216,24 +214,28 @@ class Surd:
         return (-1 if a < b else 1) * (1 if s >= 0 else -1)
 
     def __lt__(self, other):
-        if isinstance(other, float):
+        if _non_finite(other):
             return float(self) < other
         return self._compare(other) < 0
 
     def __le__(self, other):
-        if isinstance(other, float):
+        if _non_finite(other):
             return float(self) <= other
         return self._compare(other) <= 0
 
     def __gt__(self, other):
-        if isinstance(other, float):
+        if _non_finite(other):
             return float(self) > other
         return self._compare(other) > 0
 
     def __ge__(self, other):
-        if isinstance(other, float):
+        if _non_finite(other):
             return float(self) >= other
         return self._compare(other) >= 0
+
+
+def _non_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 def sqrt_exact(value) -> Surd:

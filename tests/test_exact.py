@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from causetkit.exact import Surd, sqrt_exact
@@ -104,6 +104,7 @@ class TestOrdering:
         assert sqrt_exact(2) != float(sqrt_exact(2))
         assert Surd(Fraction(3, 4)) == 0.75
         assert Surd(Fraction(1, 3)) != 1 / 3
+        assert 1 / 3 < Surd(Fraction(1, 3)) < 1 / 3 + 1e-16  # the float rounds down
         assert Surd(0) == -0.0
         assert sqrt_exact(2) != math.nan and sqrt_exact(2) != math.inf
 
@@ -160,8 +161,12 @@ def number_form(kind: str, num: int, den: int, radicand: int):
     ),
     kinds=st.tuples(st.sampled_from(NUMBER_FORMS), st.sampled_from(NUMBER_FORMS)),
 )
-def test_equal_numbers_hash_alike(value, kinds):
+@example(value=(1, 1, 2), kinds=("surd", "float"))  # sqrt(2) against its rounded float
+def test_equal_numbers_hash_alike_and_order_exactly(value, kinds):
     a, b = (number_form(kind, *value) for kind in kinds)
     assert (a == b) == (b == a)
     if a == b:
         assert hash(a) == hash(b)
+    if a == a and b == b:  # no NaN: exactly one order holds, as for int and Fraction
+        assert [a < b, a == b, a > b].count(True) == 1
+        assert (a <= b) == (a < b or a == b) and (a >= b) == (a > b or a == b)
