@@ -194,6 +194,8 @@ def make_propagators(
 
 def propagators_from_theta(theta: float) -> PropagatorPair:
     """Propagators with (a, b) = (cos(theta), sin(theta)) for theta in [0, pi/2]."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     return make_propagators(math.cos(theta), math.sin(theta))
 
 
@@ -203,7 +205,12 @@ def propagators_from_mass(mass: float, epsilon: float) -> PropagatorPair:
     This is normalized exactly and reproduces the reversal weight
     i*mass*epsilon to first order in the step size.
     """
-    return make_propagators(math.cos(mass * epsilon), math.sin(mass * epsilon))
+    angle = mass * epsilon
+    if not math.isfinite(angle):
+        raise ValueError(
+            f"mass*epsilon must be finite, got mass={mass!r}, epsilon={epsilon!r}"
+        )
+    return make_propagators(math.cos(angle), math.sin(angle))
 
 
 def zero_momentum_propagators() -> PropagatorPair:
@@ -467,6 +474,29 @@ DEFAULT_PATHSUM_CAP = DEFAULT_ENUMERATION_CAP
 
 Kernel = dict[tuple[int, str], Amplitude]
 
+# the path sum weighs 2^_BLOCK_EXPONENT move strings at a time
+_BLOCK_EXPONENT = 14
+
+
+def _extend(re, im, ends_q, q_count, moves: int, pp: PropagatorPair):
+    """Append `moves` moves to every move string, each string followed by its
+    P child, then its Q child, so lexicographic order is kept.
+
+    A string is its weight (re, im), whether its last move is Q, and its
+    number of Q moves.
+    """
+    diag, rev = pp.diagonal_entry, pp.reversal_entry
+    for _ in range(moves):
+        child_q = np.tile([False, True], len(ends_q))
+        same = np.repeat(ends_q, 2) == child_q
+        f_re = np.where(same, diag.real, rev.real)
+        f_im = np.where(same, diag.imag, rev.imag)
+        re, im = np.repeat(re, 2), np.repeat(im, 2)
+        # CPython's complex product; numpy's complex128 `*` can round differently
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        ends_q, q_count = child_q, np.repeat(q_count, 2) + child_q
+    return re, im, ends_q, q_count
+
 
 def kernel_pathsum(
     steps: int,
@@ -476,8 +506,13 @@ def kernel_pathsum(
 ) -> Kernel:
     """Sum path weights over all 2^steps move strings, grouped by endpoint.
 
-    Enumeration (and therefore summation) is in lexicographic order, making
-    the result bit-reproducible.
+    Every move string is enumerated and weighted, in lexicographic order
+    (P before Q), in blocks of 2^14 strings that share their leading moves.
+    A weight is the product of one propagator entry per move, taken left to
+    right in real arithmetic exactly as CPython multiplies complex numbers,
+    and each endpoint's weights are added one at a time in enumeration order.
+    So the result is bit-for-bit the sum `out[key] = out.get(key, 0j) + weight`
+    over the strings, with keys in order of first occurrence, zero sums kept.
     """
     if initial_helicity not in (P_MOVE, Q_MOVE):
         raise ValueError(f"helicity must be 'P' or 'Q', got {initial_helicity!r}")
@@ -487,24 +522,25 @@ def kernel_pathsum(
             f"path sum over {total} sequences exceeds the cap of {cap}; "
             "use the matrix method for deep kernels"
         )
-    entry = {
-        (P_MOVE, P_MOVE): pp.diagonal_entry,
-        (Q_MOVE, Q_MOVE): pp.diagonal_entry,
-        (P_MOVE, Q_MOVE): pp.reversal_entry,
-        (Q_MOVE, P_MOVE): pp.reversal_entry,
+    tail = min(steps, _BLOCK_EXPONENT)
+    root = (np.ones(1), np.zeros(1), np.array([initial_helicity == Q_MOVE]), np.zeros(1, int))
+    heads = _extend(*root, steps - tail, pp)
+    # endpoint slot 2 * (Q moves) + (last move is Q)
+    sum_re, sum_im = np.zeros(2 * steps + 2), np.zeros(2 * steps + 2)
+    first: dict[int, int] = {}
+    for block in range(len(heads[0])):
+        re, im, ends_q, q_count = _extend(*(a[block : block + 1] for a in heads), tail, pp)
+        slot = 2 * q_count + ends_q
+        np.add.at(sum_re, slot, re)
+        np.add.at(sum_im, slot, im)
+        reached, at = np.unique(slot, return_index=True)
+        for s, i in zip(reached.tolist(), at.tolist()):
+            first.setdefault(s, (block << tail) + i)
+    sum_re, sum_im = sum_re.tolist(), sum_im.tolist()
+    return {
+        (steps - 2 * (s // 2), Q_MOVE if s % 2 else P_MOVE): complex(sum_re[s], sum_im[s])
+        for s in sorted(first, key=first.get)
     }
-    out: Kernel = {}
-    for moves in itertools.product((P_MOVE, Q_MOVE), repeat=steps):
-        weight = 1 + 0j
-        position = 0
-        previous = initial_helicity
-        for move in moves:
-            weight *= entry[(previous, move)]
-            position += 1 if move == P_MOVE else -1
-            previous = move
-        key = (position, previous)
-        out[key] = out.get(key, 0j) + weight
-    return out
 
 
 _HELICITIES = np.array([P_MOVE, Q_MOVE])

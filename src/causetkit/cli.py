@@ -190,9 +190,16 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # "1/0" raises the latter
+        raise ValueError(f"{flag} expects a rational number such as 3/2, got {text!r}") from None
+
+
 def cmd_quantify(args) -> int:
     poset = load_poset(args.poset)
-    mu = Fraction(args.mu)
+    mu = _fraction(args.mu, "--mu")
     valuation_p = qt.ChainValuation.from_poset(poset, args.chain, mu)
     valuation_q = None
     if args.chain2:
@@ -265,7 +272,7 @@ def cmd_particle(args) -> int:
         if args.dp is None or args.dq is None:
             raise ValueError("--dp and --dq must be given together")
         n_events = args.events if args.events is not None else counts.P + counts.Q
-        r_p, r_q = kin.rates(n_events, Fraction(args.dp), Fraction(args.dq))
+        r_p, r_q = kin.rates(n_events, _fraction(args.dp, "--dp"), _fraction(args.dq, "--dq"))
         ks = kin.kinematic_state(r_p, r_q)
         state["kinematics"] = {
             "rP": float(r_p),
@@ -327,6 +334,8 @@ def cmd_checkerboard(args) -> int:
     if args.method == "both":
         pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
         discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
+        if args.emit != "json":  # JSON carries it in the document
+            print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 
     artifacts: dict[str, str] = {}
     primary = f"checkerboard.{args.emit}"
@@ -359,8 +368,6 @@ def cmd_checkerboard(args) -> int:
         else:
             rows = map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability))
             artifacts[primary] = "t,x,helicity,amp_re,amp_im,probability\n" + "".join(rows)
-            if discrepancy is not None:
-                print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
     _deliver(args, artifacts, primary)
     return 0
 

@@ -379,13 +379,14 @@ def _id(value) -> str:
 
 def load_poset(source: str | IO[str]) -> CausalPoset:
     """Read a poset document from a path or file-like object."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # bytes that are not UTF-8, invalid JSON, or arrays nested past the recursion limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed poset document: {exc}") from exc
     return poset_from_document(doc)

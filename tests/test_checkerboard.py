@@ -1,11 +1,12 @@
 """Amplitude calculus: sequence algebra, propagators, path weights, kernels."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetkit import (
@@ -41,6 +42,7 @@ from causetkit import (
     verify_propagator_constraints,
     zero_momentum_propagators,
 )
+from causetkit import checkerboard
 from causetkit.checkerboard import field_kernel
 
 SQRT1_2 = math.sqrt(0.5)
@@ -150,11 +152,19 @@ class TestPropagators:
         [
             (lambda: make_propagators(math.nan, 1.0), "a=nan"),
             (lambda: make_propagators(1.0, 0.0, phase_beta=math.inf), "phase_beta=inf"),
-            (lambda: propagators_from_mass(math.nan, 1.0), "a=nan, b=nan"),
+            (lambda: propagators_from_mass(math.nan, 1.0), "mass=nan, epsilon=1.0"),
+            (lambda: propagators_from_mass(math.inf, 1.0), "mass=inf, epsilon=1.0"),
+            (lambda: propagators_from_mass(1.0, math.inf), "mass=1.0, epsilon=inf"),
+            # finite factors whose product overflows
+            (lambda: propagators_from_mass(1e308, 10.0), "mass=1e[+]308, epsilon=10.0"),
+            (lambda: propagators_from_theta(math.inf), "theta must be finite, got inf"),
+            (lambda: propagators_from_theta(-math.inf), "theta must be finite, got -inf"),
+            (lambda: propagators_from_theta(math.nan), "theta must be finite, got nan"),
         ],
     )
     def test_non_finite_parameters_rejected(self, build, named):
-        # NaN passes every range check, so it must be caught by name
+        # NaN passes every range check and cos(inf) raises a bare "math domain
+        # error", so both must be caught by name
         with pytest.raises(ValueError, match=named):
             build()
 
@@ -486,6 +496,13 @@ class TestKernels:
         with pytest.raises(CapExceededError):
             kernel_pathsum(40, zero_momentum_propagators(), "P")
 
+    @pytest.mark.parametrize("steps", [0, 5, 15])
+    def test_pathsum_cap_boundary(self, steps):
+        pp = zero_momentum_propagators()
+        assert kernel_pathsum(steps, pp, "P", cap=2**steps)
+        with pytest.raises(CapExceededError):
+            kernel_pathsum(steps, pp, "P", cap=2**steps - 1)
+
     def test_kernel_probabilities_sum_to_one(self):
         pp = propagators_from_theta(0.5)
         k = kernel_matrix(30, pp, "P")
@@ -520,3 +537,74 @@ class TestSmallStepBridge:
             eps = rng.uniform(1e-4, 0.2)
             pp = propagators_from_mass(mass, eps)
             assert abs(pp.reversal_entry - 1j * mass * eps) <= abs(mass * eps) ** 3
+
+
+# -- per-path loop: the reference for the blocked path sum --------------------
+
+
+def loop_pathsum(steps, pp, initial_helicity):
+    """One complex product per move and one dict update per move string, in
+    itertools.product order."""
+    entry = {
+        ("P", "P"): pp.diagonal_entry,
+        ("Q", "Q"): pp.diagonal_entry,
+        ("P", "Q"): pp.reversal_entry,
+        ("Q", "P"): pp.reversal_entry,
+    }
+    out = {}
+    for moves in itertools.product(("P", "Q"), repeat=steps):
+        weight = 1 + 0j
+        position = 0
+        previous = initial_helicity
+        for move in moves:
+            weight *= entry[(previous, move)]
+            position += 1 if move == "P" else -1
+            previous = move
+        key = (position, previous)
+        out[key] = out.get(key, 0j) + weight
+    return out
+
+
+def hex_items(k: dict) -> list:
+    # float.hex tells -0.0 from 0.0 and shows every bit; order matters
+    return [(key, v.real.hex(), v.imag.hex()) for key, v in k.items()]
+
+
+BLOCK_EXPONENT = checkerboard._BLOCK_EXPONENT
+
+angles = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),
+    st.floats(-2 * math.pi, 2 * math.pi),
+)
+propagator_pairs = st.one_of(
+    st.builds(propagators_from_theta, st.sampled_from([0.0, math.pi / 2])),
+    st.builds(propagators_from_theta, st.floats(0.0, math.pi / 2)),
+    # mass*epsilon within [0, pi/2], where cos and sin are nonnegative
+    st.builds(propagators_from_mass, st.floats(0.0, 1.5), st.floats(0.01, 1.0)),
+    st.floats(0.0, math.pi / 2).flatmap(
+        lambda t: st.builds(make_propagators, st.just(math.cos(t)), st.just(math.sin(t)),
+                            angles, angles)
+    ),
+)
+
+
+class TestPathsumAgainstLoop:
+    @settings(deadline=None)
+    @given(steps=st.integers(0, 13), pp=propagator_pairs, initial=st.sampled_from(["P", "Q"]))
+    def test_bit_identical(self, steps, pp, initial):
+        got = kernel_pathsum(steps, pp, initial)
+        assert hex_items(got) == hex_items(loop_pathsum(steps, pp, initial))
+
+    @pytest.mark.parametrize(
+        "steps, pp, initial",
+        [
+            (BLOCK_EXPONENT - 1, propagators_from_mass(0.37, 0.61), "Q"),
+            (BLOCK_EXPONENT, make_propagators(math.cos(0.4), math.sin(0.4), 1.1, -2.3), "P"),
+            (BLOCK_EXPONENT + 1, propagators_from_theta(0.0), "Q"),
+            (18, zero_momentum_propagators(), "P"),
+        ],
+        ids=["below-block", "one-block", "two-blocks", "steps-18"],
+    )
+    def test_bit_identical_across_blocks(self, steps, pp, initial):
+        got = kernel_pathsum(steps, pp, initial)
+        assert hex_items(got) == hex_items(loop_pathsum(steps, pp, initial))

@@ -56,7 +56,8 @@ GOLDEN = [
     (("--steps", "12", "--method", "both", "--mass", "0.4", "--initial", "Q", "--emit", "json"),
      "6c3057daaaf28602e887d389944835eb0345c7707f404ae851e695c67b5f7339", ""),
     (("--steps", "12", "--method", "both", "--theta", "0", "--emit", "svg"),
-     "7ca13d9c234e799923d4fe0000308219951ded234414a34f31548bd59f3b7d5f", ""),
+     "7ca13d9c234e799923d4fe0000308219951ded234414a34f31548bd59f3b7d5f",
+     "max_discrepancy 0\n"),
 ]
 
 

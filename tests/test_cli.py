@@ -109,6 +109,17 @@ class TestValidateCommand:
         assert out == ""
         assert "must be arrays" in err
 
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf-8", "deep"]
+    )
+    def test_unreadable_document_exits_two(self, capsys, tmp_path, data):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed poset document")
+
     def test_chains_not_an_object_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad_chains.json"
         path.write_text(json.dumps({"version": 1, "events": [], "chains": [], "influence": []}))
@@ -145,6 +156,13 @@ class TestQuantifyCommand:
         )
         rows = {row["event_id"]: row for row in parse_csv(out)}
         assert rows["p7"]["p_fwd"] == "3.5"
+
+    @pytest.mark.parametrize("mu", ["1/0", "0/0", "abc"])
+    def test_bad_unit_exits_one(self, capsys, ladder_file, mu):
+        code, out, err = run(capsys, "quantify", ladder_file, "--chain", "P", "--mu", mu)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --mu expects a rational number such as 3/2, got {mu!r}\n"
 
     def test_unknown_chain_exits_one(self, capsys, ladder_file):
         code, _, err = run(capsys, "quantify", ladder_file, "--chain", "Z")
@@ -243,6 +261,11 @@ class TestParticleCommand:
         assert code == 1
         assert "requires" in err
 
+    def test_zero_denominator_length_exits_one(self, capsys):
+        code, _, err = run(capsys, "particle", "--counts", "2,2", "--dp", "3", "--dq", "1/0")
+        assert code == 1
+        assert "--dq expects a rational number" in err
+
     def test_dp_without_dq_fails(self, capsys):
         code, _, _ = run(capsys, "particle", "--counts", "2,2", "--dp", "3")
         assert code == 1
@@ -305,11 +328,24 @@ class TestCheckerboardCommand:
         assert exc.value.code == 2
         assert "--steps: must be nonnegative" in capsys.readouterr().err
 
-    def test_nan_mass_names_the_value(self, capsys):
-        code, out, err = run(capsys, "checkerboard", "--steps", "3", "--mass", "nan")
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--mass", "nan"), "mass*epsilon must be finite, got mass=nan, epsilon=1.0"),
+            (("--mass", "inf"), "mass*epsilon must be finite, got mass=inf, epsilon=1.0"),
+            (("--eps", "inf", "--mass", "1"),
+             "mass*epsilon must be finite, got mass=1.0, epsilon=inf"),
+            (("--mass", "1e308", "--eps", "10"),
+             "mass*epsilon must be finite, got mass=1e+308, epsilon=10.0"),
+            (("--theta", "inf"), "theta must be finite, got inf"),
+        ],
+        ids=["nan-mass", "inf-mass", "inf-eps", "overflowing-product", "inf-theta"],
+    )
+    def test_non_finite_angle_names_the_value(self, capsys, flags, named):
+        code, out, err = run(capsys, "checkerboard", "--steps", "3", *flags)
         assert code == 1
         assert out == ""
-        assert "must be finite, got a=nan" in err
+        assert err == f"error: {named}\n"
 
     def test_mass_and_theta_conflict(self, capsys):
         code, _, _ = run(
@@ -325,9 +361,10 @@ class TestCheckerboardCommand:
         assert out.startswith("<svg")
         assert "<rect" in out
 
-    def test_csv_both_reports_discrepancy_on_stderr(self, capsys):
+    @pytest.mark.parametrize("emit", ["csv", "svg"])
+    def test_both_reports_discrepancy_on_stderr(self, capsys, emit):
         code, _, err = run(
-            capsys, "checkerboard", "--steps", "3", "--method", "both"
+            capsys, "checkerboard", "--steps", "3", "--method", "both", "--emit", emit
         )
         assert code == 0
         assert err.startswith("max_discrepancy")
