@@ -8,6 +8,8 @@ consistent amplitude calculus over those sequences is the 1+1D checkerboard
 propagator.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
     BoundaryError,
     CapExceededError,
@@ -78,39 +80,57 @@ from .kinematics import (
     transform_energy_momentum,
     transform_rates,
 )
-from .checkerboard import (
-    Amplitude,
-    CheckerboardField,
-    ConstraintReport,
-    DerivedWeighting,
-    FeynmanWeighting,
-    KernelColumns,
-    PathWeight,
-    PropagatorPair,
-    Spinor,
-    amp_add,
-    amp_mul,
-    born,
-    expand_sequence,
-    kernel,
-    kernel_discrepancy,
-    kernel_history,
-    kernel_matrix,
-    kernel_pathsum,
-    make_propagators,
-    measurement_amplitude,
-    parallel_join,
-    path_weight,
-    propagators_from_mass,
-    propagators_from_theta,
-    reversal_count,
-    sequence_amplitude,
-    series_join,
-    step_field,
-    transition_magnitude_solutions,
-    unordered_amplitude,
-    verify_propagator_constraints,
-    zero_momentum_propagators,
+
+# checkerboard, and with it numpy, loads on first use of one of these names
+_CHECKERBOARD_NAMES = (
+    "Amplitude",
+    "CheckerboardField",
+    "ConstraintReport",
+    "DerivedWeighting",
+    "FeynmanWeighting",
+    "KernelColumns",
+    "PathWeight",
+    "PropagatorPair",
+    "Spinor",
+    "amp_add",
+    "amp_mul",
+    "born",
+    "expand_sequence",
+    "kernel",
+    "kernel_discrepancy",
+    "kernel_history",
+    "kernel_matrix",
+    "kernel_pathsum",
+    "make_propagators",
+    "measurement_amplitude",
+    "parallel_join",
+    "path_weight",
+    "propagators_from_mass",
+    "propagators_from_theta",
+    "reversal_count",
+    "sequence_amplitude",
+    "series_join",
+    "step_field",
+    "transition_magnitude_solutions",
+    "unordered_amplitude",
+    "verify_propagator_constraints",
+    "zero_momentum_propagators",
 )
+
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["checkerboard", *_CHECKERBOARD_NAMES]
+
+
+def __getattr__(name):
+    if name == "checkerboard" or name in _CHECKERBOARD_NAMES:
+        # not "from . import checkerboard", whose hasattr check would call this hook again
+        checkerboard = _import_module(".checkerboard", __name__)
+        return checkerboard if name == "checkerboard" else getattr(checkerboard, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

@@ -13,12 +13,10 @@ import csv
 import decimal
 import os
 import sys
+import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-import numpy as np
-
-from . import checkerboard as cb
 from . import kinematics as kin
 from . import quantify as qt
 from .errors import CapExceededError, CausetkitError, SchemaError
@@ -307,6 +305,11 @@ _KERNEL_JSON_ROW = (
 
 
 def cmd_checkerboard(args) -> int:
+    # only this command uses numpy; the others start without importing it
+    import numpy as np
+
+    from . import checkerboard as cb
+
     if args.theta is not None:
         if args.mass is not None or args.eps is not None:
             raise ValueError("--theta and --mass/--eps are mutually exclusive")
@@ -372,8 +375,10 @@ def cmd_checkerboard(args) -> int:
     return 0
 
 
-def _position_probabilities(cols: cb.KernelColumns) -> dict[int, float]:
-    """Born probability summed over helicity at each position the columns hold."""
+def _position_probabilities(cols) -> dict[int, float]:
+    """Born probability summed over helicity at each position the KernelColumns hold."""
+    import numpy as np
+
     positions, first = np.unique(cols.positions, return_index=True)
     totals = np.add.reduceat(cols.probabilities, first)
     return dict(zip(positions.tolist(), totals.tolist()))
@@ -450,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--eps", type=float, default=None, help="time step (default 1.0)")
     p_c.add_argument("--initial", choices=["P", "Q"], default="P", help="initial helicity")
     p_c.add_argument("--method", choices=["matrix", "pathsum", "both"], default="matrix")
-    p_c.add_argument("--cap", type=int, default=cb.DEFAULT_PATHSUM_CAP,
+    p_c.add_argument("--cap", type=int, default=kin.DEFAULT_ENUMERATION_CAP,
                      help="most move strings for pathsum, most rows for matrix")
     p_c.add_argument("--emit", choices=["csv", "json", "svg"], default="csv")
     p_c.add_argument("--outdir", default=None)
@@ -459,19 +464,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CausetkitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning, without the library's file name and source line
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (SchemaError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (CausetkitError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -349,9 +349,11 @@ def poset_from_document(doc) -> CausalPoset:
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise SchemaError(f"poset document missing keys: {', '.join(missing)}")
-    if doc["version"] != SCHEMA_VERSION:
+    version = doc["version"]
+    # True == 1 and 1.0 == 1, so compare the type as well
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
-            f"schema-version mismatch: got {doc['version']!r}, expected {SCHEMA_VERSION}"
+            f"schema-version mismatch: got {version!r}, expected {SCHEMA_VERSION}"
         )
     unknown = sorted(set(doc) - set(_REQUIRED_KEYS))
     if unknown:

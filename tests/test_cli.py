@@ -109,6 +109,32 @@ class TestValidateCommand:
         assert out == ""
         assert "must be arrays" in err
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+    def test_version_other_than_int_one_exits_two(self, capsys, tmp_path, version):
+        doc = {
+            "version": version,
+            "events": [{"id": "a", "chain": "P"}],
+            "chains": {"P": ["a"]},
+            "influence": [],
+        }
+        path = tmp_path / "version.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: schema-version mismatch: got {version!r}, expected 1\n"
+
+    def test_unknown_key_warns_in_one_line(self, capsys, tmp_path, ladder_file):
+        with open(ladder_file) as fh:
+            doc = json.load(fh)
+        doc["extra"] = {"note": 1}
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        plain = run(capsys, "validate", ladder_file)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == plain[:2]
+        assert err == "warning: ignoring unknown poset document keys: extra\n"
+
     @pytest.mark.parametrize(
         "data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf-8", "deep"]
     )

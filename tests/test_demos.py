@@ -1,0 +1,42 @@
+"""Golden pins of the demo scripts' output.
+
+Each demo runs in its own interpreter, as `python3 demos/<name>.py` would,
+and its stdout is pinned by SHA-256.  The digests were taken before the
+package loaded checkerboard lazily, so the demos must print the same bytes
+whichever way the library is imported.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import causetkit
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
+
+GOLDEN = {
+    "checkerboard_kernel.py": "9761a93522763aa44facae1f73c0bc9d53558fed08a32c3db7b1f982ad324b01",
+    "emergent_spacetime.py": "59de536c66d4204f89fb6ecc673aa1defb5236ce1199ead90ba5c9960d61254b",
+    "poset_basics.py": "d8689ebf4eb30281128d5bc221aa3205f72c525c9be4a7a8405c8e3d00b3e2b2",
+    "zigzag_kinematics.py": "443ab49104862214ce3d02b060ca19a37b60f082f1ab6d54b35d9c7b187ca98e",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name, digest", sorted(GOLDEN.items()))
+def test_demo_output_is_pinned(name, digest):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / name)], capture_output=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -1,0 +1,158 @@
+"""What importing causetkit loads, and the names it binds.
+
+Only the checkerboard module uses numpy, and the package loads it on first
+use of one of its names.  So every other command starts without importing
+numpy, while the public API stays what it was when `__init__.py` imported
+checkerboard eagerly.  Import state is per process, so each check runs in a
+fresh interpreter.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import causetkit
+from causetkit import save_poset
+from conftest import ladder_poset
+
+SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every public name the package bound when it imported checkerboard eagerly
+PUBLIC_NAMES = [
+    "ANTICHAIN_LIKE", "Amplitude", "BoundaryError", "CHAIN_LIKE", "CapExceededError",
+    "CausalPoset", "CausetkitError", "ChainValuation", "CheckerboardField",
+    "ConstraintReport", "CoordinationUndecidableError", "CycleError",
+    "DEFAULT_ENUMERATION_CAP", "DerivedWeighting", "FeynmanWeighting",
+    "InfluenceSequence", "IntervalPair", "IntervalScalar", "KernelColumns",
+    "KinematicState", "LinearRelation", "MODE_COORDINATED", "MODE_SINGLE_CHAIN",
+    "PROJECTION_LIKE", "P_MOVE", "PathWeight", "PosetStructureError", "Projection",
+    "PropagatorPair", "Q_MOVE", "SchemaError", "SpacetimeInterval", "SpacetimePath",
+    "Spinor", "Surd", "UnknownEventError", "UnorderedInfluenceCount",
+    "UnquantifiableIntervalError", "ValidationReport", "Violation", "amp_add",
+    "amp_mul", "backward_project", "born", "build_poset", "causal_leq", "chain_length",
+    "check_coordination", "checkerboard", "collapse", "count_orderings", "decompose",
+    "distance", "dual", "enumerate_orderings", "errors", "exact", "expand_sequence",
+    "forward_project", "from_spacetime", "interval_pair", "interval_scalar", "kernel",
+    "kernel_discrepancy", "kernel_history", "kernel_matrix", "kernel_pathsum",
+    "kinematic_state", "kinematics", "length", "load_poset", "lorentz_transform",
+    "make_propagators", "measurement_amplitude", "metric_scalar", "pair_transform",
+    "parallel_join", "path_rows", "path_weight", "poset", "propagators_from_mass",
+    "propagators_from_theta", "quantification_rows", "quantify", "random_sequence",
+    "rates", "reversal_count", "save_poset", "sequence_amplitude", "sequence_to_path",
+    "series_join", "sqrt_exact", "step_field", "to_spacetime", "topological_order",
+    "transform_energy_momentum", "transform_rates", "transition_magnitude_solutions",
+    "unordered_amplitude", "validate", "verify_propagator_constraints",
+    "zero_momentum_propagators",
+]
+
+# runs cli.main on each argv in sys.argv[1] (a JSON list), stdout discarded,
+# then prints the exit codes and whether numpy was imported
+CLI_SCRIPT = """
+import contextlib, io, json, sys
+from causetkit.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:  # --help
+            codes.append(exc.code)
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def run_python(*args):
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def run_cli(argvs):
+    return json.loads(run_python("-c", CLI_SCRIPT, json.dumps(argvs)))
+
+
+@pytest.fixture
+def ladder_file(tmp_path):
+    path = tmp_path / "ladder.json"
+    save_poset(ladder_poset(), str(path))
+    return str(path)
+
+
+class TestNumpyStaysOut:
+    def test_importing_the_package_skips_numpy(self):
+        assert run_python("-c", "import sys, causetkit; print('numpy' in sys.modules)") == (
+            "False\n"
+        )
+
+    def test_other_commands_skip_numpy(self, ladder_file):
+        argvs = [
+            ["--help"],
+            ["validate", ladder_file],
+            ["validate", ladder_file, "--emit", "json"],
+            ["quantify", ladder_file, "--chain", "P"],
+            ["quantify", ladder_file, "--chain", "P", "--emit", "json"],
+            ["quantify", ladder_file, "--chain", "P", "--chain2", "Q"],
+            ["quantify", ladder_file, "--chain", "P", "--chain2", "Q", "--emit", "json"],
+            ["particle", "--counts", "3,2", "--dp", "5", "--dq", "2", "--events", "10"],
+            ["particle", "--random", "64", "0.5", "12345"],
+            ["particle", "--sequence", "PPQPQ", "--emit", "csv"],
+            ["checkerboard", "--help"],
+        ]
+        assert run_cli(argvs) == {"codes": [0] * len(argvs), "numpy": False}
+
+    @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
+    def test_checkerboard_runs_and_loads_numpy(self, emit):
+        argvs = [["checkerboard", "--steps", "6", "--method", "both", "--emit", emit]]
+        assert run_cli(argvs) == {"codes": [0], "numpy": True}
+
+
+class TestPublicApi:
+    def test_every_name_is_an_attribute(self):
+        assert [name for name in PUBLIC_NAMES if not hasattr(causetkit, name)] == []
+        assert set(PUBLIC_NAMES) <= set(dir(causetkit))
+
+    def test_star_import_binds_the_same_names(self):
+        script = (
+            "import json\n"
+            "from causetkit import *\n"
+            "print(json.dumps(sorted(n for n in globals() if not n.startswith('_'))))"
+        )
+        assert json.loads(run_python("-c", script)) == sorted(["json", *PUBLIC_NAMES])
+
+    def test_checkerboard_attribute_is_the_module(self):
+        script = (
+            "import sys, causetkit\n"
+            "print(causetkit.checkerboard is sys.modules['causetkit.checkerboard'])"
+        )
+        assert run_python("-c", script) == "True\n"
+
+    def test_lazy_name_is_the_module_attribute(self):
+        from causetkit import checkerboard
+
+        assert causetkit.kernel_history is checkerboard.kernel_history
+        assert causetkit.KernelColumns is checkerboard.KernelColumns
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            causetkit.no_such_name
+        with pytest.raises(ImportError):
+            from causetkit import no_such_name  # noqa: F401
+
+    def test_readme_quick_start_runs(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Library quick start", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        run_python("-c", code)

@@ -235,6 +235,12 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match="version"):
             load_poset(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_int_one(self, version):
+        doc = {"version": version, "events": [], "chains": {}, "influence": []}
+        with pytest.raises(SchemaError, match="schema-version mismatch"):
+            load_poset(io.StringIO(json.dumps(doc)))
+
     def test_unknown_keys_warn_but_load(self):
         doc = {
             "version": 1,
