@@ -87,24 +87,17 @@ def enumerate_orderings(
             f"{total} orderings exceed the enumeration cap of {cap}"
         )
     p, q = counts
+    text = P_MOVE * p + Q_MOVE * q
     out: list[InfluenceSequence] = []
-    prefix: list[str] = []
-
-    def _emit(p_left: int, q_left: int):
-        if p_left == 0 and q_left == 0:
-            out.append(InfluenceSequence(tuple(prefix)))
-            return
-        if p_left:
-            prefix.append(P_MOVE)
-            _emit(p_left - 1, q_left)
-            prefix.pop()
-        if q_left:
-            prefix.append(Q_MOVE)
-            _emit(p_left, q_left - 1)
-            prefix.pop()
-
-    _emit(p, q)
-    return out
+    while True:
+        out.append(InfluenceSequence(tuple(text)))
+        # the next ordering turns the last "PQ" into "Q" followed by the rest sorted
+        i = text.rfind(P_MOVE + Q_MOVE)
+        if i < 0:
+            return out
+        tail = text[i + 1 :]
+        n_p = tail.count(P_MOVE) + 1
+        text = text[:i] + Q_MOVE + P_MOVE * n_p + Q_MOVE * (len(tail) - n_p)
 
 
 @dataclass(frozen=True)

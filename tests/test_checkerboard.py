@@ -321,6 +321,13 @@ class TestSpinorPropagation:
         expected = (Q @ P @ P + P @ Q @ P + P @ P @ Q) @ initial.as_array()
         assert np.allclose(out.as_array(), expected, atol=1e-14)
 
+    def test_unordered_single_long_ordering(self):
+        pp = propagators_from_theta(0.3)
+        initial = Spinor(0.6, 0.8)
+        out = unordered_amplitude(UnorderedInfluenceCount(2000, 0), pp, initial)
+        expected = sequence_amplitude(InfluenceSequence(("P",) * 2000), pp, initial)
+        assert out.as_array().tolist() == expected.as_array().tolist()
+
     def test_unordered_cap(self):
         with pytest.raises(CapExceededError):
             unordered_amplitude(

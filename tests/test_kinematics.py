@@ -67,6 +67,11 @@ class TestEnumeration:
         assert got == expected
         assert len(got) == count_orderings(UnorderedInfluenceCount(2, 2)) == 6
 
+    @pytest.mark.parametrize("p, q", [(0, 0), (0, 3), (3, 0), (1, 4), (4, 3), (5, 2)])
+    def test_matches_permutation_oracle(self, p, q):
+        expected = sorted({"".join(s) for s in itertools.permutations("P" * p + "Q" * q)})
+        assert [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(p, q))] == expected
+
     def test_lexicographic_and_unique(self):
         seqs = [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(3, 3))]
         assert seqs == sorted(seqs)
@@ -75,6 +80,14 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             enumerate_orderings(UnorderedInfluenceCount(2, 2), cap=5)
+
+    def test_orderings_longer_than_the_recursion_limit(self):
+        # 2,000 moves: deeper than the interpreter's default recursion limit of 1,000
+        assert [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(2000, 0))] == [
+            "P" * 2000
+        ]
+        got = [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(1, 1999))]
+        assert got == ["Q" * i + "P" + "Q" * (1999 - i) for i in range(2000)]
 
 
 class TestPaths:
