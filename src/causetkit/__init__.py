@@ -10,122 +10,55 @@ propagator.
 
 from importlib import import_module as _import_module
 
-from .errors import (
-    BoundaryError,
-    CapExceededError,
-    CausetkitError,
-    CoordinationUndecidableError,
-    CycleError,
-    PosetStructureError,
-    SchemaError,
-    UnknownEventError,
-    UnquantifiableIntervalError,
-)
-from .exact import Surd, collapse, sqrt_exact
-from .poset import (
-    CausalPoset,
-    ValidationReport,
-    Violation,
-    build_poset,
-    causal_leq,
-    dual,
-    load_poset,
-    save_poset,
-    topological_order,
-    validate,
-)
-from .quantify import (
-    ANTICHAIN_LIKE,
-    CHAIN_LIKE,
-    MODE_COORDINATED,
-    MODE_SINGLE_CHAIN,
-    PROJECTION_LIKE,
-    ChainValuation,
-    IntervalPair,
-    IntervalScalar,
-    LinearRelation,
-    Projection,
-    SpacetimeInterval,
-    backward_project,
-    chain_length,
-    check_coordination,
-    decompose,
-    distance,
-    forward_project,
-    from_spacetime,
-    interval_pair,
-    interval_scalar,
-    length,
-    lorentz_transform,
-    metric_scalar,
-    pair_transform,
-    quantification_rows,
-    to_spacetime,
-)
-from .kinematics import (
-    DEFAULT_ENUMERATION_CAP,
-    InfluenceSequence,
-    KinematicState,
-    P_MOVE,
-    Q_MOVE,
-    SpacetimePath,
-    UnorderedInfluenceCount,
-    count_orderings,
-    enumerate_orderings,
-    kinematic_state,
-    path_rows,
-    random_sequence,
-    rates,
-    sequence_to_path,
-    transform_energy_momentum,
-    transform_rates,
-)
+# the public names of each submodule; a submodule loads on first use of one of
+# its names (checkerboard, and with it numpy, only where something uses it)
+_SUBMODULE_NAMES = {
+    "errors": (
+        "BoundaryError", "CapExceededError", "CausetkitError", "CoordinationUndecidableError",
+        "CycleError", "PosetStructureError", "SchemaError", "UnknownEventError",
+        "UnquantifiableIntervalError",
+    ),
+    "exact": ("Surd", "collapse", "sqrt_exact"),
+    "poset": (
+        "CausalPoset", "ValidationReport", "Violation", "build_poset", "causal_leq", "dual",
+        "load_poset", "save_poset", "topological_order", "validate",
+    ),
+    "quantify": (
+        "ANTICHAIN_LIKE", "CHAIN_LIKE", "MODE_COORDINATED", "MODE_SINGLE_CHAIN", "PROJECTION_LIKE",
+        "ChainValuation", "IntervalPair", "IntervalScalar", "LinearRelation", "Projection",
+        "SpacetimeInterval", "backward_project", "chain_length", "check_coordination", "decompose",
+        "distance", "forward_project", "from_spacetime", "interval_pair", "interval_scalar",
+        "length", "lorentz_transform", "metric_scalar", "pair_transform", "quantification_rows",
+        "to_spacetime",
+    ),
+    "kinematics": (
+        "DEFAULT_ENUMERATION_CAP", "InfluenceSequence", "KinematicState", "P_MOVE", "Q_MOVE",
+        "SpacetimePath", "UnorderedInfluenceCount", "count_orderings", "enumerate_orderings",
+        "kinematic_state", "path_rows", "random_sequence", "rates", "sequence_to_path",
+        "transform_energy_momentum", "transform_rates",
+    ),
+    "checkerboard": (
+        "Amplitude", "CheckerboardField", "ConstraintReport", "DerivedWeighting",
+        "FeynmanWeighting", "KernelColumns", "PathWeight", "PropagatorPair", "Spinor", "amp_add",
+        "amp_mul", "born", "expand_sequence", "kernel", "kernel_discrepancy", "kernel_history",
+        "kernel_matrix", "kernel_pathsum", "make_propagators", "measurement_amplitude",
+        "parallel_join", "path_weight", "propagators_from_mass", "propagators_from_theta",
+        "reversal_count", "sequence_amplitude", "series_join", "step_field",
+        "transition_magnitude_solutions", "unordered_amplitude", "verify_propagator_constraints",
+        "zero_momentum_propagators",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
-# checkerboard, and with it numpy, loads on first use of one of these names
-_CHECKERBOARD_NAMES = (
-    "Amplitude",
-    "CheckerboardField",
-    "ConstraintReport",
-    "DerivedWeighting",
-    "FeynmanWeighting",
-    "KernelColumns",
-    "PathWeight",
-    "PropagatorPair",
-    "Spinor",
-    "amp_add",
-    "amp_mul",
-    "born",
-    "expand_sequence",
-    "kernel",
-    "kernel_discrepancy",
-    "kernel_history",
-    "kernel_matrix",
-    "kernel_pathsum",
-    "make_propagators",
-    "measurement_amplitude",
-    "parallel_join",
-    "path_weight",
-    "propagators_from_mass",
-    "propagators_from_theta",
-    "reversal_count",
-    "sequence_amplitude",
-    "series_join",
-    "step_field",
-    "transition_magnitude_solutions",
-    "unordered_amplitude",
-    "verify_propagator_constraints",
-    "zero_momentum_propagators",
-)
-
-__all__ = [name for name in globals() if not name.startswith("_")]
-__all__ += ["checkerboard", *_CHECKERBOARD_NAMES]
+__all__ = [*_SUBMODULE_NAMES, *_SUBMODULE_OF]
 
 
 def __getattr__(name):
-    if name == "checkerboard" or name in _CHECKERBOARD_NAMES:
-        # not "from . import checkerboard", whose hasattr check would call this hook again
-        checkerboard = _import_module(".checkerboard", __name__)
-        return checkerboard if name == "checkerboard" else getattr(checkerboard, name)
+    # import_module, not "from . import x", whose hasattr check would call this hook again
+    if name in _SUBMODULE_NAMES:
+        return _import_module(f".{name}", __name__)
+    if name in _SUBMODULE_OF:
+        return getattr(_import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

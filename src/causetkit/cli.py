@@ -17,8 +17,6 @@ import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from . import kinematics as kin
-from . import quantify as qt
 from .errors import CapExceededError, CausetkitError, SchemaError
 from .exact import Surd
 from .poset import load_poset, validate
@@ -103,6 +101,11 @@ def _csv_cell(value) -> str:
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
+    """CSV of row dicts, cells through format_number; None is an empty cell.
+
+    The commands write their tables from integer columns instead; this is the
+    general path, and the reference their bytes are tested against.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -195,49 +198,93 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} expects a rational number such as 3/2, got {text!r}") from None
 
 
+_QUANTIFY_COLUMNS = ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"]
+# one JSON row, keys in sorted order
+_QUANTIFY_JSON_ROW = (
+    '{"event_id": %s, "p_bwd": %s, "p_fwd": %s, "q_bwd": %s, "q_fwd": %s, "t": %s, "x": %s}'
+)
+
+
+def _quantify_columns(poset, chain: str, chain2: str | None, mu: Fraction, absent: str):
+    """The p_fwd, p_bwd, q_fwd, q_bwd, t and x cells of `quantify`, one list each.
+
+    Every coordinate is s*mu/2 for an integer s: s = 2k for a projection at
+    chain position k, and kp + kq or kp - kq for t and x.  With mu = a/b the
+    cell is '%.17g' % (s*a/(2*b)), which is what format_number prints for the
+    Fraction s*mu/2, because int/int division rounds correctly.  A missing
+    projection gives `absent`.
+    """
+    p_fwd, p_bwd = poset._projection_positions(chain)
+    q_fwd = q_bwd = [None] * poset.n_events
+    if chain2:
+        q_fwd, q_bwd = poset._projection_positions(chain2)
+    n_p, n_q = len(poset.chains[chain]), len(poset.chains[chain2]) if chain2 else 0
+    # each s that can occur and none larger than the largest that does, so
+    # mu overflows a float here only if it overflows in a printed cell
+    a, b = mu.numerator, mu.denominator
+    cell = {s: "%.17g" % (s * a / (2 * b)) for s in range(min(0, 1 - n_q), 2 * max(n_p, n_q) - 1)}
+    projection = {k: cell[2 * k] for k in range(max(n_p, n_q))}
+    projection[None] = absent
+    columns = [list(map(projection.__getitem__, ks)) for ks in (p_fwd, p_bwd, q_fwd, q_bwd)]
+    pairs = list(zip(p_fwd, q_fwd))
+    for sign in (1, -1):
+        columns.append(
+            [absent if kp is None or kq is None else cell[kp + sign * kq] for kp, kq in pairs]
+        )
+    return columns
+
+
 def cmd_quantify(args) -> int:
     poset = load_poset(args.poset)
     mu = _fraction(args.mu, "--mu")
-    valuation_p = qt.ChainValuation.from_poset(poset, args.chain, mu)
-    valuation_q = None
-    if args.chain2:
-        valuation_q = qt.ChainValuation.from_poset(poset, args.chain2, mu)
-    rows = qt.quantification_rows(poset, valuation_p, valuation_q)
-    columns = ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"]
-    artifacts = {}
     if args.emit == "json":
-        doc = {
-            "chain": args.chain,
-            "chain2": args.chain2,
-            "mu": mu,
-            "rows": [
-                {c: (None if row[c] is None else _jsonable(row[c])) for c in columns}
-                for row in rows
-            ],
-        }
-        artifacts["quantify.json"] = canonical_json(doc) + "\n"
-        _deliver(args, artifacts, "quantify.json")
+        p_fwd, p_bwd, q_fwd, q_bwd, t, x = _quantify_columns(
+            poset, args.chain, args.chain2, mu, "null"
+        )
+        ids = map(encode_basestring, poset.events)
+        rows = map(_QUANTIFY_JSON_ROW.__mod__, zip(ids, p_bwd, p_fwd, q_bwd, q_fwd, t, x))
+        head = canonical_json({"chain": args.chain, "chain2": args.chain2, "mu": mu, "rows": []})
+        # "rows" is the last key, so the rows go before the closing "]}"
+        text = head[:-2] + ", ".join(rows) + "]}\n"
+        _deliver(args, {"quantify.json": text}, "quantify.json")
     else:
-        artifacts["quantify.csv"] = rows_to_csv(rows, columns)
-        _deliver(args, artifacts, "quantify.csv")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_QUANTIFY_COLUMNS)
+        writer.writerows(zip(poset.events, *_quantify_columns(
+            poset, args.chain, args.chain2, mu, ""
+        )))
+        _deliver(args, {"quantify.csv": buf.getvalue()}, "quantify.csv")
     return 0
 
 
-def _jsonable(value):
-    if isinstance(value, (int, str)) or value is None:
-        return value
-    return float(value)
-
-
-def _parse_counts(text: str) -> kin.UnorderedInfluenceCount:
+def _parse_counts(text: str) -> tuple[int, int]:
     try:
         p, q = (int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--counts expects 'P,Q' integers, got {text!r}") from None
-    return kin.UnorderedInfluenceCount(p, q)
+    return p, q
+
+
+# the cells after t and x of a path CSV row, by move
+_PATH_MOVE_CELLS = {"P": "P,1,P", "Q": "Q,-1,Q"}
+
+
+def _path_csv(moves, half_x: list[int]) -> str:
+    """`particle`'s path CSV: point i sits at t = i/2 and x = half_x[i]/2.
+
+    '%.17g' % (n/2) prints what format_number prints for the Fraction n/2.
+    """
+    rows = [
+        "%d,%.17g,%.17g,%s\n" % (i, i / 2, h / 2, _PATH_MOVE_CELLS[move])
+        for i, (move, h) in enumerate(zip(moves, half_x[1:]), start=1)
+    ]
+    return "step,t,x,move,beta,helicity\n0,0,0,,,\n" + "".join(rows)
 
 
 def cmd_particle(args) -> int:
+    from . import kinematics as kin
+
     sources = [s for s in (args.counts, args.sequence, args.random) if s is not None]
     if not sources:
         raise ValueError("one of --counts, --sequence or --random is required")
@@ -256,7 +303,7 @@ def cmd_particle(args) -> int:
             seq = kin.InfluenceSequence(seq.moves, args.initial_helicity)
         counts = seq.counts()
     else:
-        counts = _parse_counts(args.counts)
+        counts = kin.UnorderedInfluenceCount(*_parse_counts(args.counts))
 
     state: dict = {
         "counts": {"P": counts.P, "Q": counts.Q},
@@ -282,17 +329,12 @@ def cmd_particle(args) -> int:
         }
 
     artifacts = {"particle_state.json": canonical_json(state) + "\n"}
-    if seq is not None:
-        path = kin.sequence_to_path(seq)
-        artifacts["particle_path.csv"] = rows_to_csv(
-            kin.path_rows(path), ["step", "t", "x", "move", "beta", "helicity"]
-        )
-    if args.emit == "csv":
-        if seq is None:
-            raise ValueError("path CSV requires --sequence or --random")
-        _deliver(args, artifacts, "particle_path.csv")
-    else:
-        _deliver(args, artifacts, "particle_state.json")
+    if args.emit == "csv" and seq is None:
+        raise ValueError("path CSV requires --sequence or --random")
+    # the path is built only where it is delivered: on stdout, or into --outdir
+    if seq is not None and (args.emit == "csv" or _outdir(args)):
+        artifacts["particle_path.csv"] = _path_csv(seq.moves, kin.half_unit_positions(seq))
+    _deliver(args, artifacts, "particle_path.csv" if args.emit == "csv" else "particle_state.json")
     return 0
 
 
@@ -320,22 +362,23 @@ def cmd_checkerboard(args) -> int:
         pp = cb.zero_momentum_propagators()
 
     steps = args.steps
+    cap = cb.DEFAULT_PATHSUM_CAP if args.cap is None else args.cap
     if args.method == "pathsum":
-        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
+        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=cap)
         slices = [(steps, cb.KernelColumns.from_kernel(pathsum))]
     else:
         # slice t holds at most 2(t+1) rows
         row_bound = (steps + 1) * (steps + 2)
-        if row_bound > args.cap:
+        if row_bound > cap:
             raise CapExceededError(
                 f"the matrix method writes up to {row_bound} rows for {steps} steps, "
-                f"over the cap of {args.cap}"
+                f"over the cap of {cap}"
             )
         slices = list(enumerate(cb.kernel_history(steps, pp, args.initial)))
 
     discrepancy = None
     if args.method == "both":
-        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
+        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=cap)
         discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
         if args.emit != "json":  # JSON carries it in the document
             print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
@@ -455,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--eps", type=float, default=None, help="time step (default 1.0)")
     p_c.add_argument("--initial", choices=["P", "Q"], default="P", help="initial helicity")
     p_c.add_argument("--method", choices=["matrix", "pathsum", "both"], default="matrix")
-    p_c.add_argument("--cap", type=int, default=kin.DEFAULT_ENUMERATION_CAP,
+    # default: checkerboard.DEFAULT_PATHSUM_CAP, read when the command runs
+    p_c.add_argument("--cap", type=int, default=None,
                      help="most move strings for pathsum, most rows for matrix")
     p_c.add_argument("--emit", choices=["csv", "json", "svg"], default="csv")
     p_c.add_argument("--outdir", default=None)
@@ -483,6 +527,9 @@ def main(argv=None) -> int:
             return 2
         except (CausetkitError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OverflowError as exc:  # e.g. --mu 1e400 puts coordinates past the largest float
+            print(f"error: a value exceeds the float range: {exc}", file=sys.stderr)
             return 1
 
 

@@ -13,12 +13,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapExceededError
 from .exact import Surd, collapse, sqrt_exact
-from .quantify import LinearRelation
+
+if TYPE_CHECKING:  # only an annotation, so importing kinematics does not load quantify
+    from .quantify import LinearRelation
 
 P_MOVE = "P"
 Q_MOVE = "Q"
@@ -120,17 +123,19 @@ class SpacetimePath:
         return (t1 - t0, x1 - x0)
 
 
+def half_unit_positions(seq: InfluenceSequence) -> list[int]:
+    """x of every point of the sequence's path, from the origin, in half units:
+    the running sum of +1 per P-move and -1 per Q-move.  Point i has t = i/2."""
+    return list(accumulate((1 if move == P_MOVE else -1 for move in seq.moves), initial=0))
+
+
 def sequence_to_path(seq: InfluenceSequence, origin=(0, 0)) -> SpacetimePath:
     """Map a move string to its spacetime path: P steps (+1/2, +1/2), Q steps (+1/2, -1/2)."""
-    t, x = Fraction(origin[0]), Fraction(origin[1])
-    points = [(t, x)]
-    betas: list[int] = []
-    for move in seq.moves:
-        t += HALF
-        x += HALF if move == P_MOVE else -HALF
-        points.append((t, x))
-        betas.append(1 if move == P_MOVE else -1)
-    return SpacetimePath(tuple(points), tuple(betas), tuple(seq.moves))
+    t0, x0 = Fraction(origin[0]), Fraction(origin[1])
+    half_x = half_unit_positions(seq)
+    points = tuple((t0 + i * HALF, x0 + h * HALF) for i, h in enumerate(half_x))
+    betas = tuple(b - a for a, b in zip(half_x, half_x[1:]))
+    return SpacetimePath(points, betas, tuple(seq.moves))
 
 
 def path_rows(path: SpacetimePath) -> list[dict]:

@@ -190,6 +190,14 @@ class TestQuantifyCommand:
         assert out == ""
         assert err == f"error: --mu expects a rational number such as 3/2, got {mu!r}\n"
 
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    def test_unit_past_float_range_exits_one(self, capsys, ladder_file, emit):
+        code, out, err = run(
+            capsys, "quantify", ladder_file, "--chain", "P", "--mu", "1e400", "--emit", emit
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_chain_exits_one(self, capsys, ladder_file):
         code, _, err = run(capsys, "quantify", ladder_file, "--chain", "Z")
         assert code == 1
@@ -291,6 +299,16 @@ class TestParticleCommand:
         code, _, err = run(capsys, "particle", "--counts", "2,2", "--dp", "3", "--dq", "1/0")
         assert code == 1
         assert "--dq expects a rational number" in err
+
+    @pytest.mark.parametrize("source", [
+        ("--counts", "3,4"),
+        ("--sequence", "PPPQ"),
+        ("--sequence", "PPPQ", "--emit", "csv"),
+    ])
+    def test_rate_past_float_range_exits_one(self, capsys, source):
+        code, out, err = run(capsys, "particle", *source, "--dp", "1e-400", "--dq", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dp_without_dq_fails(self, capsys):
         code, _, _ = run(capsys, "particle", "--counts", "2,2", "--dp", "3")

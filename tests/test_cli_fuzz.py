@@ -66,8 +66,11 @@ def poset_bytes(draw) -> bytes:
         kind = draw(st.sampled_from(["replace", "delete", "cycle", "rename"]))
         if kind == "cycle":
             edges = doc.get("influence")
-            if isinstance(edges, list) and edges and isinstance(edges[0], list):
-                edges.append(list(reversed(draw(st.sampled_from(edges)))))
+            if isinstance(edges, list):
+                # an earlier "replace" may have set any edge, not only the first, to null
+                pairs = [edge for edge in edges if isinstance(edge, list)]
+                if pairs:
+                    edges.append(list(reversed(draw(st.sampled_from(pairs)))))
             continue
         paths = list(_paths(doc))
         if not paths:
@@ -125,7 +128,7 @@ SUBCOMMANDS = {
         {"--chain": one(tokens("P", "Q", "zz"))},
         {
             "--chain2": one(tokens("P", "Q")),
-            "--mu": one(tokens("1", "1/2", "3", "-2", "0.25")),
+            "--mu": one(tokens("1", "1/2", "3", "-2", "0.25", "1e400", "1e-400")),
             "--emit": one(EMIT),
         },
     ),
@@ -138,8 +141,8 @@ SUBCOMMANDS = {
                 tokens("5", "12"), tokens("0.5", "1", "1.5"), tokens("7", "99")
             ).map(list),
             "--initial-helicity": one(tokens("P", "Q")),
-            "--dp": one(tokens("5", "3/2", "-2")),
-            "--dq": one(tokens("2", "7/3")),
+            "--dp": one(tokens("5", "3/2", "-2", "1e400", "1e-400")),
+            "--dq": one(tokens("2", "7/3", "1e400", "1e-400")),
             "--events": one(tokens("10", "3")),
             "--emit": one(EMIT),
         },

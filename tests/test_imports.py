@@ -1,10 +1,11 @@
 """What importing causetkit loads, and the names it binds.
 
-Only the checkerboard module uses numpy, and the package loads it on first
-use of one of its names.  So every other command starts without importing
-numpy, while the public API stays what it was when `__init__.py` imported
-checkerboard eagerly.  Import state is per process, so each check runs in a
-fresh interpreter.
+The package loads each submodule on first use of one of its names, and the
+CLI imports a submodule only inside the commands that run it.  So only
+`checkerboard` imports numpy, `--help`, `validate` and `quantify` load
+neither `quantify` nor `kinematics`, while the public API stays what it was
+when `__init__.py` imported every submodule eagerly.  Import state is per
+process, so each check runs in a fresh interpreter.
 """
 
 import json
@@ -68,6 +69,24 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
+# runs cli.main on the argv in sys.argv[1:], stdout discarded, then prints the
+# exit code and the causetkit submodules the process has loaded
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+from causetkit.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+loaded = sorted(name for name in sys.modules if name.startswith("causetkit."))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+SUBMODULES = ["checkerboard", "errors", "exact", "kinematics", "poset", "quantify"]
+
+
 def run_python(*args):
     proc = subprocess.run(
         [sys.executable, *args],
@@ -119,6 +138,39 @@ class TestNumpyStaysOut:
         assert run_cli(argvs) == {"codes": [0], "numpy": True}
 
 
+class TestLoadPerCommand:
+    """Each command loads only the submodules it runs, each in a fresh process."""
+
+    BASE = ["causetkit.cli", "causetkit.errors", "causetkit.exact", "causetkit.poset"]
+
+    def loaded(self, *argv):
+        return json.loads(run_python("-c", LOADED_SCRIPT, *argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["validate", "LADDER"],
+        ["validate", "LADDER", "--emit", "json"],
+        ["quantify", "LADDER", "--chain", "P"],
+        ["quantify", "LADDER", "--chain", "P", "--chain2", "Q", "--emit", "json"],
+    ], ids=" ".join)
+    def test_skips_quantify_and_kinematics(self, ladder_file, argv):
+        argv = [ladder_file if token == "LADDER" else token for token in argv]
+        assert self.loaded(*argv) == {"code": 0, "loaded": self.BASE}
+
+    def test_particle_skips_quantify(self):
+        got = self.loaded("particle", "--counts", "3,2", "--dp", "5", "--dq", "2")
+        assert got == {"code": 0, "loaded": sorted([*self.BASE, "causetkit.kinematics"])}
+
+    def test_checkerboard_skips_quantify(self):
+        got = self.loaded("checkerboard", "--steps", "6", "--method", "both")
+        expected = [*self.BASE, "causetkit.checkerboard", "causetkit.kinematics"]
+        assert got == {"code": 0, "loaded": sorted(expected)}
+
+    def test_importing_the_package_loads_no_submodule(self):
+        script = "import sys, causetkit\nprint([m for m in sys.modules if 'causetkit.' in m])"
+        assert run_python("-c", script) == "[]\n"
+
+
 class TestPublicApi:
     def test_every_name_is_an_attribute(self):
         assert [name for name in PUBLIC_NAMES if not hasattr(causetkit, name)] == []
@@ -138,6 +190,22 @@ class TestPublicApi:
             "print(causetkit.checkerboard is sys.modules['causetkit.checkerboard'])"
         )
         assert run_python("-c", script) == "True\n"
+
+    @pytest.mark.parametrize("name", sorted(set(SUBMODULES) - {"checkerboard"}))
+    def test_other_submodule_attributes_are_the_modules(self, name):
+        script = (
+            f"import sys, causetkit\n"
+            f"print(causetkit.{name} is sys.modules['causetkit.{name}'])"
+        )
+        assert run_python("-c", script) == "True\n"
+
+    def test_every_name_is_its_submodule_attribute(self):
+        import importlib
+
+        for module_name in SUBMODULES:
+            module = importlib.import_module(f"causetkit.{module_name}")
+            names = [name for name in PUBLIC_NAMES if hasattr(module, name)]
+            assert all(getattr(causetkit, name) is getattr(module, name) for name in names)
 
     def test_lazy_name_is_the_module_attribute(self):
         from causetkit import checkerboard

@@ -12,12 +12,26 @@ JSON and the path CSV of given, random and counted sequences.
 import contextlib
 import hashlib
 import io
+import os
+import random
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causetkit import build_poset, save_poset
-from causetkit.cli import main
-from conftest import ladder_poset
+from causetkit import (
+    ChainValuation,
+    InfluenceSequence,
+    build_poset,
+    path_rows,
+    quantification_rows,
+    save_poset,
+    sequence_to_path,
+)
+from causetkit.cli import canonical_json, main, rows_to_csv
+from conftest import ladder_poset, random_valid_poset
 
 ODD_P = ["p,0", 'p"1', "p\n2", "p\r3", "p 4"]
 ODD_Q = ["q\t0", '"', ",", "ünï", "q\\4", "q5"]
@@ -147,3 +161,70 @@ def test_outdir_artifacts_match_stdout(tmp_path):
                                 str(tmp_path / "particle_path.csv")]
     assert (tmp_path / "particle_state.json").read_text(encoding="utf-8") == state
     assert (tmp_path / "particle_path.csv").read_text(encoding="utf-8") == path_csv
+
+
+# -- the writers against the general path, kept as the oracle ------------------
+
+
+def reference_quantify(poset, chain, chain2, mu, emit) -> str:
+    """`quantify` output the general way: Fraction rows from quantification_rows,
+    serialised by rows_to_csv or canonical_json."""
+    valuation_p = ChainValuation.from_poset(poset, chain, mu)
+    valuation_q = ChainValuation.from_poset(poset, chain2, mu) if chain2 else None
+    rows = quantification_rows(poset, valuation_p, valuation_q)
+    if emit == "csv":
+        return rows_to_csv(rows, ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"])
+    return canonical_json({"chain": chain, "chain2": chain2, "mu": mu, "rows": rows}) + "\n"
+
+
+@st.composite
+def posets_with_odd_ids(draw):
+    poset = random_valid_poset(random.Random(draw(st.integers(0, 2**32))), max_events=24)
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=poset.n_events,
+                          max_size=poset.n_events, unique=True))
+    rename = dict(zip(poset.events, names))
+    return build_poset(
+        [(rename[e], poset.chain_of[e]) for e in poset.events],
+        {c: [rename[e] for e in order] for c, order in poset.chains.items()},
+        [(rename[a], rename[b]) for a, b in poset.influence_edges],
+    )
+
+
+HUGE = 10**400
+units = st.one_of(
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.sampled_from([Fraction(0), Fraction(HUGE), Fraction(1, HUGE), Fraction(-3, 7),
+                     Fraction(10**305), Fraction(HUGE + 1, HUGE - 1), Fraction(1, 10**320)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poset=posets_with_odd_ids(), data=st.data(), mu=units,
+       emit=st.sampled_from(["csv", "json"]))
+def test_quantify_matches_the_fraction_rows(poset, data, mu, emit):
+    chain = data.draw(st.sampled_from(sorted(poset.chains)))
+    chain2 = data.draw(st.sampled_from([None, *sorted(poset.chains)]))
+    try:
+        expected = reference_quantify(poset, chain, chain2, mu, emit)
+    except OverflowError:
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poset.json")
+        save_poset(poset, path)
+        # "--mu=" so that a negative unit does not read as an option
+        argv = ["quantify", path, "--chain", chain, f"--mu={mu}", "--emit", emit]
+        code, out, err = run_main(argv + (["--chain2", chain2] if chain2 else []))
+    if expected is None:  # a coordinate past the largest float
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (code, out, err) == (0, expected, "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(moves=st.text(alphabet="PQ", max_size=300))
+def test_path_csv_matches_the_fraction_rows(moves):
+    path = sequence_to_path(InfluenceSequence.from_string(moves))
+    expected = rows_to_csv(path_rows(path), ["step", "t", "x", "move", "beta", "helicity"])
+    assert run_main(["particle", "--sequence", moves, "--emit", "csv"]) == (0, expected, "")
