@@ -248,12 +248,11 @@ def cmd_quantify(args) -> int:
         text = head[:-2] + ", ".join(rows) + "]}\n"
         _deliver(args, {"quantify.json": text}, "quantify.json")
     else:
+        columns = _quantify_columns(poset, args.chain, args.chain2, mu, "")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_QUANTIFY_COLUMNS)
-        writer.writerows(zip(poset.events, *_quantify_columns(
-            poset, args.chain, args.chain2, mu, ""
-        )))
+        writer.writerows(zip(poset.events, *columns))
         _deliver(args, {"quantify.csv": buf.getvalue()}, "quantify.csv")
     return 0
 
