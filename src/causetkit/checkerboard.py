@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -583,6 +583,15 @@ def field_kernel(field: CheckerboardField) -> Kernel:
     return KernelColumns.from_field(field).as_kernel()
 
 
+def _stepped_fields(steps: int, pp: PropagatorPair, helicity: str) -> Iterator[CheckerboardField]:
+    """A point source, then the field after each of `steps` steps, each made when asked for."""
+    field = CheckerboardField.point_source(helicity, steps)
+    yield field
+    for _ in range(steps):
+        field = step_field(field, pp)
+        yield field
+
+
 def kernel_history(
     steps: int, pp: PropagatorPair, initial_helicity: str
 ) -> list[KernelColumns]:
@@ -590,19 +599,13 @@ def kernel_history(
 
     Entry t holds the columns of a point source stepped t times.
     """
-    field = CheckerboardField.point_source(initial_helicity, steps)
-    history = [KernelColumns.from_field(field)]
-    for _ in range(steps):
-        field = step_field(field, pp)
-        history.append(KernelColumns.from_field(field))
-    return history
+    return list(map(KernelColumns.from_field, _stepped_fields(steps, pp, initial_helicity)))
 
 
 def kernel_matrix(steps: int, pp: PropagatorPair, initial_helicity: str) -> Kernel:
     """Kernel by `steps` transfer-matrix applications to a point source."""
-    field = CheckerboardField.point_source(initial_helicity, steps)
-    for _ in range(steps):
-        field = step_field(field, pp)
+    for field in _stepped_fields(steps, pp, initial_helicity):
+        pass
     return field_kernel(field)
 
 

@@ -8,13 +8,13 @@ All output is deterministic for fixed inputs, flags and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import io
-import csv
 import decimal
+import itertools
 import os
 import sys
 import warnings
 from fractions import Fraction
+from typing import Iterable, Iterator
 from json.encoder import encode_basestring
 
 from .errors import CapExceededError, CausetkitError, SchemaError
@@ -93,25 +93,25 @@ def _write_json(obj, pieces: list[str]) -> None:
 
 
 def _csv_cell(value) -> str:
+    """None is an empty cell, numbers go through format_number, and text that
+    holds a comma, a quote, a newline or a carriage return is quoted."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    return format_number(value)
+    if not isinstance(value, str):
+        return format_number(value)
+    if any(c in value for c in ',"\n\r'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
-    """CSV of row dicts, cells through format_number; None is an empty cell.
+    """CSV of row dicts, one "\n"-terminated line per row and a header line.
 
     The commands write their tables from integer columns instead; this is the
     general path, and the reference their bytes are tested against.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
-    return buf.getvalue()
+    lines = [columns, *([row.get(c) for c in columns] for row in rows)]
+    return "".join(",".join(map(_csv_cell, line)) + "\n" for line in lines)
 
 
 # -- SVG (optional decoration) --------------------------------------------------
@@ -150,22 +150,33 @@ def probability_svg(slices: list[tuple[int, dict[int, float]]]) -> str:
 # -- output plumbing -------------------------------------------------------------
 
 
-def _outdir(args) -> str | None:
-    return args.outdir or os.environ.get(OUTDIR_ENV)
+def _deliver(args, artifacts: dict[str, Iterable[str]], primary: str) -> None:
+    """Write all artifacts into the output directory, or print the primary one.
 
-
-def _deliver(args, artifacts: dict[str, str], primary: str) -> None:
-    """Write all artifacts into the output directory, or print the primary one."""
-    outdir = _outdir(args)
+    An artifact is an iterable of text chunks, built only as it is written, so
+    every check belongs before this call.
+    """
+    outdir = args.outdir or os.environ.get(OUTDIR_ENV)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        for name, text in artifacts.items():
+        for name, chunks in artifacts.items():
             path = os.path.join(outdir, name)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             print(path)
     else:
-        sys.stdout.write(artifacts[primary])
+        sys.stdout.writelines(artifacts[primary])
+
+
+def _json_document(doc: dict, row_groups: Iterable[list[str]]) -> Iterator[str]:
+    """canonical_json(doc) + "\n" in chunks, doc["rows"] being the JSON rows of
+    `row_groups`, one chunk per list; only the first list may be empty.  The
+    document and the first list are formatted now, so errors precede output.
+    """
+    head, _, tail = canonical_json({**doc, "rows": []}).partition('"rows": []')
+    groups = map(", ".join, row_groups)
+    first = head + '"rows": [' + next(groups, "")
+    return itertools.chain([first], (", " + group for group in groups), ["]" + tail + "\n"])
 
 
 # -- commands ---------------------------------------------------------------------
@@ -237,23 +248,18 @@ def _quantify_columns(poset, chain: str, chain2: str | None, mu: Fraction, absen
 def cmd_quantify(args) -> int:
     poset = load_poset(args.poset)
     mu = _fraction(args.mu, "--mu")
+    absent = "null" if args.emit == "json" else ""
+    columns = _quantify_columns(poset, args.chain, args.chain2, mu, absent)
     if args.emit == "json":
-        p_fwd, p_bwd, q_fwd, q_bwd, t, x = _quantify_columns(
-            poset, args.chain, args.chain2, mu, "null"
-        )
+        p_fwd, p_bwd, q_fwd, q_bwd, t, x = columns
         ids = map(encode_basestring, poset.events)
         rows = map(_QUANTIFY_JSON_ROW.__mod__, zip(ids, p_bwd, p_fwd, q_bwd, q_fwd, t, x))
-        head = canonical_json({"chain": args.chain, "chain2": args.chain2, "mu": mu, "rows": []})
-        # "rows" is the last key, so the rows go before the closing "]}"
-        text = head[:-2] + ", ".join(rows) + "]}\n"
-        _deliver(args, {"quantify.json": text}, "quantify.json")
+        doc = {"chain": args.chain, "chain2": args.chain2, "mu": mu}
+        chunks = _json_document(doc, [list(rows)])
     else:
-        columns = _quantify_columns(poset, args.chain, args.chain2, mu, "")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_QUANTIFY_COLUMNS)
-        writer.writerows(zip(poset.events, *columns))
-        _deliver(args, {"quantify.csv": buf.getvalue()}, "quantify.csv")
+        lines = [_QUANTIFY_COLUMNS, *zip(map(_csv_cell, poset.events), *columns)]
+        chunks = ["\n".join(map(",".join, lines)) + "\n"]
+    _deliver(args, {f"quantify.{args.emit}": chunks}, f"quantify.{args.emit}")
     return 0
 
 
@@ -269,16 +275,17 @@ def _parse_counts(text: str) -> tuple[int, int]:
 _PATH_MOVE_CELLS = {"P": "P,1,P", "Q": "Q,-1,Q"}
 
 
-def _path_csv(moves, half_x: list[int]) -> str:
-    """`particle`'s path CSV: point i sits at t = i/2 and x = half_x[i]/2.
+def _path_csv(seq) -> Iterator[str]:
+    """`particle`'s path CSV, built when consumed: point i sits at (t, x) =
+    (i/2, h/2) for its half-unit position h, and '%.17g' % (n/2) prints what
+    format_number prints for the Fraction n/2."""
+    from .kinematics import half_unit_positions
 
-    '%.17g' % (n/2) prints what format_number prints for the Fraction n/2.
-    """
     rows = [
         "%d,%.17g,%.17g,%s\n" % (i, i / 2, h / 2, _PATH_MOVE_CELLS[move])
-        for i, (move, h) in enumerate(zip(moves, half_x[1:]), start=1)
+        for i, (move, h) in enumerate(zip(seq.moves, half_unit_positions(seq)[1:]), start=1)
     ]
-    return "step,t,x,move,beta,helicity\n0,0,0,,,\n" + "".join(rows)
+    yield "step,t,x,move,beta,helicity\n0,0,0,,,\n" + "".join(rows)
 
 
 def cmd_particle(args) -> int:
@@ -327,12 +334,11 @@ def cmd_particle(args) -> int:
             "beta": float(ks.beta),
         }
 
-    artifacts = {"particle_state.json": canonical_json(state) + "\n"}
+    artifacts = {"particle_state.json": [canonical_json(state) + "\n"]}
     if args.emit == "csv" and seq is None:
         raise ValueError("path CSV requires --sequence or --random")
-    # the path is built only where it is delivered: on stdout, or into --outdir
-    if seq is not None and (args.emit == "csv" or _outdir(args)):
-        artifacts["particle_path.csv"] = _path_csv(seq.moves, kin.half_unit_positions(seq))
+    if seq is not None:
+        artifacts["particle_path.csv"] = _path_csv(seq)
     _deliver(args, artifacts, "particle_path.csv" if args.emit == "csv" else "particle_state.json")
     return 0
 
@@ -346,9 +352,6 @@ _KERNEL_JSON_ROW = (
 
 
 def cmd_checkerboard(args) -> int:
-    # only this command uses numpy; the others start without importing it
-    import numpy as np
-
     from . import checkerboard as cb
 
     if args.theta is not None:
@@ -373,48 +376,49 @@ def cmd_checkerboard(args) -> int:
                 f"the matrix method writes up to {row_bound} rows for {steps} steps, "
                 f"over the cap of {cap}"
             )
-        slices = list(enumerate(cb.kernel_history(steps, pp, args.initial)))
+        # stepped as the slices are written, so one slice is held at a time
+        fields = cb._stepped_fields(steps, pp, args.initial)
+        slices = enumerate(map(cb.KernelColumns.from_field, fields))
 
     discrepancy = None
     if args.method == "both":
         pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=cap)
-        discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
+        discrepancy = cb.kernel_discrepancy(cb.kernel_matrix(steps, pp, args.initial), pathsum)
         if args.emit != "json":  # JSON carries it in the document
             print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 
-    artifacts: dict[str, str] = {}
     primary = f"checkerboard.{args.emit}"
     if args.emit == "svg":
-        artifacts[primary] = probability_svg(
-            [(step, _position_probabilities(cols)) for step, cols in slices]
-        )
+        chunks = [probability_svg([(t, _position_probabilities(c)) for t, c in slices])]
+    elif args.emit == "json":
+        doc = {
+            "steps": steps,
+            "a": pp.a,
+            "b": pp.b,
+            "initial_helicity": args.initial,
+            "method": args.method,
+            "tolerance": _TOLERANCE,
+        }
+        if discrepancy is not None:
+            doc["max_discrepancy"] = discrepancy
+        chunks = _json_document(doc, _kernel_rows(slices, "json"))
     else:
-        t = np.repeat([step for step, _ in slices], [len(c.amplitudes) for _, c in slices])
-        cols = cb.KernelColumns(*map(np.concatenate, zip(*(c for _, c in slices))))
-        t, x, helicity = t.tolist(), cols.positions.tolist(), cols.helicities.tolist()
+        header = ["t,x,helicity,amp_re,amp_im,probability\n"]
+        chunks = itertools.chain(header, map("".join, _kernel_rows(slices, "csv")))
+    _deliver(args, {primary: chunks}, primary)
+    return 0
+
+
+def _kernel_rows(slices, emit: str) -> Iterator[list[str]]:
+    """Each (step, KernelColumns) slice as a list of CSV or JSON rows."""
+    for step, cols in slices:
+        t, x, helicity = itertools.repeat(step), cols.positions.tolist(), cols.helicities.tolist()
         re, im = cols.amplitudes.real.tolist(), cols.amplitudes.imag.tolist()
         probability = cols.probabilities.tolist()
-        if args.emit == "json":
-            doc = {
-                "steps": steps,
-                "a": pp.a,
-                "b": pp.b,
-                "initial_helicity": args.initial,
-                "method": args.method,
-                "tolerance": _TOLERANCE,
-                "rows": [],
-            }
-            if discrepancy is not None:
-                doc["max_discrepancy"] = discrepancy
-            rows = map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x))
-            artifacts[primary] = canonical_json(doc).replace(
-                '"rows": []', '"rows": [' + ", ".join(rows) + "]"
-            ) + "\n"
+        if emit == "json":
+            yield list(map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x)))
         else:
-            rows = map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability))
-            artifacts[primary] = "t,x,helicity,amp_re,amp_im,probability\n" + "".join(rows)
-    _deliver(args, artifacts, primary)
-    return 0
+            yield list(map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability)))
 
 
 def _position_probabilities(cols) -> dict[int, float]:
@@ -447,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a poset document against the ordering rules")
     p_val.add_argument("poset", help="poset document (JSON)")
     p_val.add_argument("--emit", choices=["text", "json"], default="text")
-    p_val.add_argument("--outdir", default=None, help=f"output directory (default ${OUTDIR_ENV})")
     p_val.set_defaults(func=cmd_validate)
 
     p_q = sub.add_parser(

@@ -56,6 +56,22 @@ class TestValidateCommand:
         assert "cycle" in out
         assert "'a'" in out and "'b'" in out
 
+    def test_outdir_is_a_usage_error(self, capsys, tmp_path, ladder_file):
+        # validate prints its report and writes no artifacts
+        outdir = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", ladder_file, "--outdir", str(outdir)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --outdir" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_outdir_env_variable_is_ignored(self, capsys, tmp_path, ladder_file, monkeypatch):
+        outdir = tmp_path / "fromenv"
+        monkeypatch.setenv("CAUSETKIT_OUTDIR", str(outdir))
+        code, out, _ = run(capsys, "validate", ladder_file)
+        assert (code, out) == (0, "ok: 16 events, 2 chains\n")
+        assert not outdir.exists()
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
         assert code == 2

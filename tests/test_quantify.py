@@ -2,13 +2,14 @@
 
 import math
 import os
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from causetkit import (
@@ -42,7 +43,7 @@ from causetkit import (
     sqrt_exact,
     to_spacetime,
 )
-from conftest import ladder_poset, stretched_poset
+from conftest import ladder_poset, random_valid_poset, stretched_poset
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=25
@@ -318,6 +319,90 @@ class TestCoordination:
         val_q = ChainValuation.from_poset(ladder, "Q")
         with pytest.raises(CoordinationUndecidableError):
             check_coordination(ladder, val_p, val_q, ("p0", "p3"), ("q4", "q6"))
+
+
+def pairwise_coordination(poset, valuation_p, valuation_q, range_p, range_q) -> bool:
+    """check_coordination by its definition: every closed interval of either
+    window, pair by pair, against the interval it forward projects to."""
+    if valuation_p.chain_id == valuation_q.chain_id:
+        return True
+
+    def window(valuation, lo, hi):
+        i, j = sorted((valuation.index[lo], valuation.index[hi]))
+        return poset.chains[valuation.chain_id][i : j + 1]
+
+    def intervals_project_equal(src, dst, events) -> bool:
+        values = []
+        for event in events:
+            proj = forward_project(poset, dst.chain_id, event)
+            if not proj.present:
+                raise CoordinationUndecidableError(event)
+            values.append(dst.value(proj.event))
+        return all(
+            chain_length(src, events[i], events[j]) == values[j] - values[i]
+            for i in range(len(events))
+            for j in range(i + 1, len(events))
+        )
+
+    window_p, window_q = window(valuation_p, *range_p), window(valuation_q, *range_q)
+    return intervals_project_equal(valuation_p, valuation_q, window_p) and (
+        intervals_project_equal(valuation_q, valuation_p, window_q)
+    )
+
+
+def coordination_outcome(check, *args):
+    try:
+        return check(*args)
+    except CoordinationUndecidableError:
+        return "undecidable"
+
+
+@st.composite
+def coordination_cases(draw):
+    """A ladder (coordinated where both windows project) or a random poset,
+    two of its chains, units and a range on each chain."""
+    if draw(st.booleans()):
+        poset = ladder_poset(n=draw(st.integers(2, 12)), offset=draw(st.integers(0, 3)))
+    else:
+        poset = random_valid_poset(random.Random(draw(st.integers(0, 2**32))), max_events=16)
+    # two different chains where there are two, so that most cases compare
+    chains = draw(st.permutations(sorted(poset.chains)))[:2] * 2
+    units = st.sampled_from([Fraction(1), Fraction(3, 7), Fraction(2)])
+    mu = draw(units)
+    valuations = [
+        ChainValuation.from_poset(poset, chains[0], mu),
+        ChainValuation.from_poset(poset, chains[1], draw(st.just(mu) | units)),
+    ]
+    ranges = [
+        tuple(draw(st.sampled_from(poset.chains[v.chain_id])) for _ in range(2))
+        for v in valuations
+    ]
+    return poset, *valuations, *ranges
+
+
+def ladder_case(range_p, range_q):
+    ladder = ladder_poset()
+    valuations = [ChainValuation.from_poset(ladder, c) for c in ("P", "Q")]
+    return ladder, *valuations, range_p, range_q
+
+
+def stretched_case():
+    poset = stretched_poset()
+    valuations = [ChainValuation.from_poset(poset, c) for c in ("S", "P")]
+    return poset, *valuations, ("s0", "s2"), ("p0", "p4")
+
+
+class TestCoordinationAgainstPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(case=coordination_cases())
+    @example(case=ladder_case(("p0", "p3"), ("q0", "q3")))  # True
+    @example(case=ladder_case(("p3", "p0"), ("q5", "q2")))  # True, ranges reversed
+    @example(case=ladder_case(("p0", "p3"), ("q4", "q6")))  # undecidable
+    @example(case=stretched_case())  # False
+    def test_consecutive_steps_decide_as_every_pair(self, case):
+        expected = coordination_outcome(pairwise_coordination, *case)
+        event(f"outcome: {expected}")
+        assert coordination_outcome(check_coordination, *case) == expected
 
 
 class TestDistanceAndLength:

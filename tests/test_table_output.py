@@ -10,10 +10,13 @@ JSON and the path CSV of given, random and counted sequences.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causetkit
 from causetkit import (
     ChainValuation,
     InfluenceSequence,
@@ -32,6 +36,8 @@ from causetkit import (
 )
 from causetkit.cli import canonical_json, main, rows_to_csv
 from conftest import ladder_poset, random_valid_poset
+
+SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 
 ODD_P = ["p,0", 'p"1', "p\n2", "p\r3", "p 4"]
 ODD_Q = ["q\t0", '"', ",", "ünï", "q\\4", "q5"]
@@ -71,19 +77,19 @@ QUANTIFY_GOLDEN = {
     ("ladder", 2, "3/7", "json"):
         "8d1cec1076b6fc07a98c064b50ed6d0d993a0a0db8a61ae9adc729c4ff151064",
     ("odd", 1, "1", "csv"):
-        "8d001c13b640029339ed1acbdd62ffd3da5af5e01b0fa02495988203352d9f9b",
+        "96a14135d05ee24c157e3963682fa594177334b6dc03f55449d6a8f56ec3532b",
     ("odd", 1, "1", "json"):
         "0228b10e87847510eb588f7fc786cec77a732865f57e6cc1a768dbf2033f30ec",
     ("odd", 1, "3/7", "csv"):
-        "cd6dbfe6a1142ec36fb074e7211f14dad1fb71701d94e8918b2eabc1741a60a2",
+        "3aca745b12cd3f4fb93a1c11a995cf0851b9c279d9b97e0d66794a507d91cf21",
     ("odd", 1, "3/7", "json"):
         "e5a5285263bd661317f6476e52b14c47f2146ed1b4bfe4d7205d02ab1671ead8",
     ("odd", 2, "1", "csv"):
-        "7204a4caac9faf313f2660945977f9fbbbcfe188cc1376634b633a09c7e7e9ac",
+        "a2bbd58936a313ec8c91c03053b90fe2abc2ab48d7b7cc2c53cf3665ba44c5f5",
     ("odd", 2, "1", "json"):
         "b308530f00a08f7d4e413823c6b217d95b6e5fd8797ac0c8c00090c35baa1f7d",
     ("odd", 2, "3/7", "csv"):
-        "5b278714174071380d921a3d1aafdfef90de6a840937e17e2c1cfecbc94e8398",
+        "982bd50e2703a6b459b755384876dd196889622a49e9b91975f4703b8c4557e4",
     ("odd", 2, "3/7", "json"):
         "4df7419b538af42c0fd42f75c08451e2b948445b0d14d64cc0f8489340d88127",
 }
@@ -150,17 +156,99 @@ def test_particle_output_is_pinned(argv, digest):
     assert sha256(out) == digest
 
 
-def test_outdir_artifacts_match_stdout(tmp_path):
-    argv = ["particle", "--sequence", "QQPQ", "--initial-helicity", "P",
-            "--dp", "3/2", "--dq", "7/3", "--events", "10"]
-    _, state, _ = run_main(argv)
-    _, path_csv, _ = run_main([*argv, "--emit", "csv"])
-    code, out, _ = run_main([*argv, "--outdir", str(tmp_path)])
+@pytest.mark.parametrize("n_chains", [1, 2])
+@pytest.mark.parametrize("mu", ["1", "3/7"])
+def test_quantify_csv_reads_back(tmp_path, n_chains, mu):
+    # every id comes back whole, carriage return included
+    code, out, _ = run_main(quantify_argv(tmp_path, "odd", n_chains, mu, "csv"))
+    rows = list(csv.reader(io.StringIO(out, newline="")))
     assert code == 0
-    assert out.splitlines() == [str(tmp_path / "particle_state.json"),
-                                str(tmp_path / "particle_path.csv")]
-    assert (tmp_path / "particle_state.json").read_text(encoding="utf-8") == state
-    assert (tmp_path / "particle_path.csv").read_text(encoding="utf-8") == path_csv
+    assert rows[0] == ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"]
+    assert [row[0] for row in rows[1:]] == list(DOCUMENTS["odd"][0].events)
+    assert {len(row) for row in rows} == {7}
+
+
+# -- delivery: --outdir writes what stdout prints, and nothing on an error --------
+
+PARTICLE_ARGV = ["particle", "--sequence", "QQPQ", "--initial-helicity", "P",
+                 "--dp", "3/2", "--dq", "7/3", "--events", "10"]
+# per case: the command, and each artifact with the flags that print it
+OUTDIR_CASES = {
+    "particle": (PARTICLE_ARGV, {"particle_state.json": [],
+                                 "particle_path.csv": ["--emit", "csv"]}),
+    "quantify-csv": (None, {"quantify.csv": []}),
+    "quantify-json": (None, {"quantify.json": []}),
+    "checkerboard-csv": (["checkerboard", "--steps", "7", "--theta", "0.4"],
+                         {"checkerboard.csv": []}),
+    "checkerboard-json": (["checkerboard", "--steps", "7", "--emit", "json"],
+                          {"checkerboard.json": []}),
+    "checkerboard-svg": (["checkerboard", "--steps", "7", "--initial", "Q", "--emit", "svg"],
+                         {"checkerboard.svg": []}),
+}
+
+
+@pytest.mark.parametrize("case", OUTDIR_CASES)
+def test_outdir_artifacts_match_stdout(tmp_path, case):
+    argv, artifacts = OUTDIR_CASES[case]
+    if argv is None:  # quantify, with ids CSV must quote
+        argv = quantify_argv(tmp_path, "odd", 2, "3/7", case.split("-")[1])
+    outdir = tmp_path / "out"
+    code, out, err = run_main([*argv, "--outdir", str(outdir)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [str(outdir / name) for name in artifacts]
+    for name, flags in artifacts.items():
+        printed = run_main([*argv, *flags])[1]
+        assert (outdir / name).read_bytes().decode("utf-8") == printed
+
+
+def one_event_document(tmp_path) -> str:
+    path = tmp_path / "one.json"
+    save_poset(build_poset([("e0", "P")], {"P": ["e0"]}, []), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        # only the JSON header's "mu" is past the float range: no cell is
+        ([None, "--chain", "P", "--mu", "1e400", "--emit", "json"], 1),
+        (["checkerboard", "--steps", "999"], 3),
+        (["checkerboard", "--steps", "21", "--method", "both", "--emit", "json"], 3),
+    ],
+    ids=["quantify-mu-header", "checkerboard-row-cap", "checkerboard-pathsum-cap"],
+)
+def test_error_writes_nothing(tmp_path, argv, exit_code):
+    if argv[0] is None:
+        argv = ["quantify", one_event_document(tmp_path), *argv[1:]]
+    outdir = tmp_path / "d"
+    code, out, err = run_main([*argv, "--outdir", str(outdir)])
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+# a fresh interpreter that runs a command and prints its exit status and max RSS
+RSS_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_checkerboard_json_streams_in_bounded_memory():
+    # A child's ru_maxrss carries over the RSS of the process that forked it,
+    # so the command is started from a small launcher, not from this process.
+    # Built whole, this document peaked at 226 MB; written slice by slice, ~31 MB.
+    cli = [sys.executable, "-m", "causetkit.cli", "checkerboard", "--steps", "600",
+           "--emit", "json"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", RSS_LAUNCHER, *cli], env=env,
+                          capture_output=True, text=True, check=True)
+    status, max_rss_kib = map(int, proc.stdout.split())
+    assert status == 0
+    assert max_rss_kib < 60 * 1024
 
 
 # -- the writers against the general path, kept as the oracle ------------------
