@@ -65,10 +65,10 @@ def random_valid_poset(rng: random.Random, max_events: int = 12):
     ranks = list(range(n))
     rng.shuffle(ranks)
     assignment = [rng.randrange(n_chains) for _ in range(n)]
-    # make sure no chain is empty
-    for c in range(n_chains):
-        if c not in assignment:
-            assignment[rng.randrange(n)] = c
+    # make sure no chain is empty: each chain claims an event of its own, so
+    # no claim can empty a chain that an earlier one filled
+    for c, i in enumerate(rng.sample(range(n), n_chains)):
+        assignment[i] = c
     events = [(f"e{i}", f"c{assignment[i]}") for i in range(n)]
     chains = {}
     for c in range(n_chains):
