@@ -58,6 +58,10 @@ GOLDEN = [
     (("--steps", "12", "--method", "both", "--theta", "0", "--emit", "svg"),
      "7ca13d9c234e799923d4fe0000308219951ded234414a34f31548bd59f3b7d5f",
      "max_discrepancy 0\n"),
+    (("--steps", "0", "--emit", "svg"),
+     "5fd2fb0f33072abeb09c90a6067a192c48ca2cb04d800aded93757cc658ee406", ""),
+    (("--steps", "0", "--method", "pathsum", "--emit", "svg"),
+     "5fd2fb0f33072abeb09c90a6067a192c48ca2cb04d800aded93757cc658ee406", ""),
 ]
 
 
