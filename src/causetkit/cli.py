@@ -11,6 +11,7 @@ import argparse
 import decimal
 import itertools
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -20,8 +21,6 @@ from json.encoder import encode_basestring
 from .errors import CapExceededError, CausetkitError, SchemaError
 from .exact import Surd
 from .poset import load_poset, validate
-
-OUTDIR_ENV = "CAUSETKIT_OUTDIR"
 
 _TOLERANCE = 1e-12
 
@@ -117,34 +116,37 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 # -- SVG (optional decoration) --------------------------------------------------
 
 
-def probability_svg(slices: list[tuple[int, dict[int, float]]]) -> str:
-    """Bar chart of probability vs position, one band per time slice."""
-    bar = 8
-    band = 64
-    positions = sorted({x for _, probs in slices for x in probs})
-    if not positions:
-        positions = [0]
-    lo, hi = positions[0], positions[-1]
+def probability_svg(slices) -> Iterator[str]:
+    """Bar chart of Born probability vs position, one band per (step,
+    KernelColumns) slice, as text chunks.
+
+    The header needs the extent of every slice, so the first chunk reads them
+    all, keeping each as its per-position totals; each band after it is
+    formatted when its chunk is asked for.
+    """
+    import numpy as np
+
+    bar, band = 8, 64
+    totals = []
+    for step, cols in slices:
+        positions, first = np.unique(cols.positions, return_index=True)
+        totals.append((step, positions, np.add.reduceat(cols.probabilities, first)))
+    lo = min(int(xs[0]) for _, xs, _ in totals)
+    hi = max(int(xs[-1]) for _, xs, _ in totals)
     width = (hi - lo + 1) * bar + 80
-    height = band * len(slices) + 20
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-    ]
-    for i, (step, probs) in enumerate(slices):
-        base = (i + 1) * band
-        parts.append(
-            f'<text x="4" y="{base - band // 2}" font-size="10">t={step}</text>'
-        )
-        for x in sorted(probs):
-            p = probs[x]
-            h = max(1, round(p * (band - 14)))
-            left = 60 + (x - lo) * bar
-            parts.append(
-                f'<rect x="{left}" y="{base - h}" width="{bar - 1}" height="{h}" '
-                f'fill="#336699"><title>x={x} p={format_number(p)}</title></rect>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    height = band * len(totals) + 20
+    yield f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+    for i, (step, xs, ps) in enumerate(totals, start=1):
+        base = i * band
+        # rint rounds half to even, as round() does
+        heights = np.maximum(1, np.rint(ps * (band - 14))).astype(int)
+        bars = [
+            f'<rect x="{60 + (x - lo) * bar}" y="{base - h}" width="{bar - 1}" height="{h}" '
+            f'fill="#336699"><title>x={x} p={p:.17g}</title></rect>\n'
+            for x, p, h in zip(xs.tolist(), ps.tolist(), heights.tolist())
+        ]
+        yield f'<text x="4" y="{base - band // 2}" font-size="10">t={step}</text>\n' + "".join(bars)
+    yield "</svg>\n"
 
 
 # -- output plumbing -------------------------------------------------------------
@@ -156,11 +158,10 @@ def _deliver(args, artifacts: dict[str, Iterable[str]], primary: str) -> None:
     An artifact is an iterable of text chunks, built only as it is written, so
     every check belongs before this call.
     """
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV)
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
+    if args.outdir:
+        os.makedirs(args.outdir, exist_ok=True)
         for name, chunks in artifacts.items():
-            path = os.path.join(outdir, name)
+            path = os.path.join(args.outdir, name)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
             print(path)
@@ -376,7 +377,7 @@ def cmd_checkerboard(args) -> int:
                 f"the matrix method writes up to {row_bound} rows for {steps} steps, "
                 f"over the cap of {cap}"
             )
-        # stepped as the slices are written, so one slice is held at a time
+        # stepped as the writer reads each slice
         fields = cb._stepped_fields(steps, pp, args.initial)
         slices = enumerate(map(cb.KernelColumns.from_field, fields))
 
@@ -389,7 +390,7 @@ def cmd_checkerboard(args) -> int:
 
     primary = f"checkerboard.{args.emit}"
     if args.emit == "svg":
-        chunks = [probability_svg([(t, _position_probabilities(c)) for t, c in slices])]
+        chunks = probability_svg(slices)
     elif args.emit == "json":
         doc = {
             "steps": steps,
@@ -419,15 +420,6 @@ def _kernel_rows(slices, emit: str) -> Iterator[list[str]]:
             yield list(map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x)))
         else:
             yield list(map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability)))
-
-
-def _position_probabilities(cols) -> dict[int, float]:
-    """Born probability summed over helicity at each position the KernelColumns hold."""
-    import numpy as np
-
-    positions, first = np.unique(cols.positions, return_index=True)
-    totals = np.add.reduceat(cols.probabilities, first)
-    return dict(zip(positions.tolist(), totals.tolist()))
 
 
 # -- parser -------------------------------------------------------------------------
@@ -507,6 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--outdir", default=None)
     p_c.set_defaults(func=cmd_checkerboard)
 
+    # argparse reads only -2 and -0.5 style tokens as values; no option starts
+    # with a digit, so -3/2, -1e-3 and -.5 are values too
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -65,13 +65,6 @@ class TestValidateCommand:
         assert "unrecognized arguments: --outdir" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_outdir_env_variable_is_ignored(self, capsys, tmp_path, ladder_file, monkeypatch):
-        outdir = tmp_path / "fromenv"
-        monkeypatch.setenv("CAUSETKIT_OUTDIR", str(outdir))
-        code, out, _ = run(capsys, "validate", ladder_file)
-        assert (code, out) == (0, "ok: 16 events, 2 chains\n")
-        assert not outdir.exists()
-
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
         assert code == 2
@@ -198,6 +191,13 @@ class TestQuantifyCommand:
         )
         rows = {row["event_id"]: row for row in parse_csv(out)}
         assert rows["p7"]["p_fwd"] == "3.5"
+
+    def test_negative_unit_as_separate_argument(self, capsys, ladder_file):
+        # argparse by itself reads "-3/7" as an unknown option, not as the value
+        flags = ("quantify", ladder_file, "--chain", "P", "--chain2", "Q")
+        separate = run(capsys, *flags, "--mu", "-3/7")
+        assert separate == run(capsys, *flags, "--mu=-3/7")
+        assert separate[0] == 0
 
     @pytest.mark.parametrize("mu", ["1/0", "0/0", "abc"])
     def test_bad_unit_exits_one(self, capsys, ladder_file, mu):
@@ -326,6 +326,11 @@ class TestParticleCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_length_as_separate_argument(self, capsys):
+        code, out, err = run(capsys, "particle", "--counts", "3,2", "--dp", "-3/2", "--dq", "1")
+        assert (code, out) == (1, "")
+        assert "projected lengths must be positive" in err
+
     def test_dp_without_dq_fails(self, capsys):
         code, _, _ = run(capsys, "particle", "--counts", "2,2", "--dp", "3")
         assert code == 1
@@ -407,6 +412,11 @@ class TestCheckerboardCommand:
         assert out == ""
         assert err == f"error: {named}\n"
 
+    def test_negative_mass_in_exponent_form(self, capsys):
+        code, out, err = run(capsys, "checkerboard", "--steps", "2", "--mass", "-1e-3")
+        assert (code, out) == (1, "")
+        assert err == "error: propagator magnitudes must be nonnegative\n"
+
     def test_mass_and_theta_conflict(self, capsys):
         code, _, _ = run(
             capsys, "checkerboard", "--steps", "2", "--theta", "0.3", "--mass", "1.0"
@@ -429,15 +439,25 @@ class TestCheckerboardCommand:
         assert code == 0
         assert err.startswith("max_discrepancy")
 
-    def test_outdir_env_variable(self, capsys, tmp_path, monkeypatch):
-        outdir = str(tmp_path / "fromenv")
-        monkeypatch.setenv("CAUSETKIT_OUTDIR", outdir)
-        code, out, _ = run(capsys, "checkerboard", "--steps", "2")
-        assert code == 0
-        assert os.path.exists(os.path.join(outdir, "checkerboard.csv"))
-
     def test_byte_identical_reruns(self, capsys):
         args = ("checkerboard", "--steps", "12", "--theta", "0.9", "--emit", "json")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+@pytest.mark.parametrize("command", ["quantify", "particle", "checkerboard", "validate"])
+def test_outdir_env_variable_is_ignored(capsys, tmp_path, ladder_file, monkeypatch, command):
+    # only --outdir sets the output directory
+    argv = {
+        "quantify": ("quantify", ladder_file, "--chain", "P"),
+        "particle": ("particle", "--sequence", "PQP"),
+        "checkerboard": ("checkerboard", "--steps", "2"),
+        "validate": ("validate", ladder_file),
+    }[command]
+    monkeypatch.delenv("CAUSETKIT_OUTDIR", raising=False)
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("CAUSETKIT_OUTDIR", str(tmp_path / "fromenv"))
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1]
+    assert os.listdir(tmp_path) == ["ladder.json"]

@@ -237,12 +237,14 @@ print(status, usage.ru_maxrss)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
-def test_checkerboard_json_streams_in_bounded_memory():
+@pytest.mark.parametrize("emit", ["json", "svg"])
+def test_checkerboard_streams_in_bounded_memory(emit):
     # A child's ru_maxrss carries over the RSS of the process that forked it,
     # so the command is started from a small launcher, not from this process.
-    # Built whole, this document peaked at 226 MB; written slice by slice, ~31 MB.
+    # Built whole, the JSON peaked at 226 MB and the SVG at 117 MB; written
+    # slice by slice, ~31 MB and ~34 MB.
     cli = [sys.executable, "-m", "causetkit.cli", "checkerboard", "--steps", "600",
-           "--emit", "json"]
+           "--emit", emit]
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", RSS_LAUNCHER, *cli], env=env,
                           capture_output=True, text=True, check=True)
