@@ -19,8 +19,6 @@ from typing import Iterable, Iterator
 from json.encoder import encode_basestring
 
 from .errors import CapExceededError, CausetkitError, SchemaError
-from .exact import Surd
-from .poset import load_poset, validate
 
 _TOLERANCE = 1e-12
 
@@ -69,7 +67,7 @@ def _write_json(obj, pieces: list[str]) -> None:
     elif isinstance(obj, str):
         # the string encoder of json.dumps(obj, ensure_ascii=False)
         pieces.append(encode_basestring(obj))
-    elif isinstance(obj, (int, float, Fraction, Surd)):
+    elif isinstance(obj, (int, float, Fraction)):
         pieces.append(format_number(obj))
     elif isinstance(obj, dict):
         pieces.append("{")
@@ -88,7 +86,11 @@ def _write_json(obj, pieces: list[str]) -> None:
             _write_json(item, pieces)
         pieces.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        from .exact import Surd  # no command writes one, so exact loads only here
+
+        if not isinstance(obj, Surd):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        pieces.append(format_number(obj))
 
 
 def _csv_cell(value) -> str:
@@ -184,6 +186,8 @@ def _json_document(doc: dict, row_groups: Iterable[list[str]]) -> Iterator[str]:
 
 
 def cmd_validate(args) -> int:
+    from .poset import load_poset, validate
+
     poset = load_poset(args.poset)
     report = validate(poset)
     if args.emit == "json":
@@ -247,6 +251,8 @@ def _quantify_columns(poset, chain: str, chain2: str | None, mu: Fraction, absen
 
 
 def cmd_quantify(args) -> int:
+    from .poset import load_poset
+
     poset = load_poset(args.poset)
     mu = _fraction(args.mu, "--mu")
     absent = "null" if args.emit == "json" else ""
@@ -500,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.set_defaults(func=cmd_checkerboard)
 
     # argparse reads only -2 and -0.5 style tokens as values; no option starts
-    # with a digit, so -3/2, -1e-3 and -.5 are values too
+    # with a digit, inf or nan, so -3/2, -1e-3, -.5, -inf and -NaN are values too
     for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import deque
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import CycleError, PosetStructureError, SchemaError, UnknownEventError
 
@@ -23,15 +22,13 @@ EventId = str
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     message: str
     events: tuple[EventId, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

@@ -2,6 +2,7 @@
 
 import csv
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -82,6 +83,31 @@ class TestValidateCommand:
         doc = json.loads(out)
         assert doc["ok"] is False
         assert doc["violations"][0]["rule"] == "cycle"
+
+    @pytest.mark.parametrize("emit, digest", [
+        ("text", "5c97200c108196af8c89510820c3d50dc61a55baf62612e57d66d14755ae4d71"),
+        ("json", "4114ac2e534db7911cad3f22649aec1422865845888785c28bcf82177479760d"),
+    ])
+    def test_report_of_every_rule_is_pinned(self, capsys, tmp_path, emit, digest):
+        # two intra-chain edges, a cycle through both chains and an event
+        # missing from its chain's order; ids that repr and JSON escape
+        doc = {
+            "version": 1,
+            "events": [
+                {"id": "a", "chain": "P"}, {"id": "b", "chain": "P"},
+                {"id": "c", "chain": "Q"}, {"id": "dé", "chain": "Q"},
+                {"id": "it's", "chain": "Q"},
+            ],
+            "chains": {"P": ["a", "b"], "Q": ["c", "dé"]},
+            "influence": [["a", "b"], ["b", "c"], ["c", "a"], ["c", "dé"]],
+        }
+        path = tmp_path / "every_rule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path), "--emit", emit)
+        assert (code, err) == (1, "")
+        assert out.count("intra-chain-influence") == 2
+        assert "cycle" in out and "chain-not-total" in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("bad_id", [[1], 1])
     def test_non_string_id_exits_two(self, capsys, tmp_path, bad_id):
@@ -411,6 +437,19 @@ class TestCheckerboardCommand:
         assert code == 1
         assert out == ""
         assert err == f"error: {named}\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--mass", "-inf"), ("--theta", "-nan"), ("--eps", "-inf", "--mass", "1"),
+         ("--mass", "-INF"), ("--theta", "-NaN"), ("--mass", "-Infinity")],
+        ids=" ".join,
+    )
+    def test_negative_non_finite_value_as_separate_argument(self, capsys, flags):
+        # read as the value, as in the --name=value form, and not as an option
+        joined = [f"{name}={value}" for name, value in zip(flags[::2], flags[1::2])]
+        expected = run(capsys, "checkerboard", "--steps", "2", *joined)
+        assert expected[0] == 1 and "must be finite" in expected[2]
+        assert run(capsys, "checkerboard", "--steps", "2", *flags) == expected
 
     def test_negative_mass_in_exponent_form(self, capsys):
         code, out, err = run(capsys, "checkerboard", "--steps", "2", "--mass", "-1e-3")

@@ -2,10 +2,11 @@
 
 The package loads each submodule on first use of one of its names, and the
 CLI imports a submodule only inside the commands that run it.  So only
-`checkerboard` imports numpy, `--help`, `validate` and `quantify` load
-neither `quantify` nor `kinematics`, while the public API stays what it was
-when `__init__.py` imported every submodule eagerly.  Import state is per
-process, so each check runs in a fresh interpreter.
+`checkerboard` imports numpy, `--help` loads no submodule but `errors`,
+`validate` and `quantify` add only `poset` and leave out `dataclasses`, while
+the public API stays what it was when `__init__.py` imported every submodule
+eagerly.  Import state is per process, so each check runs in a fresh
+interpreter.
 """
 
 import json
@@ -70,7 +71,8 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 
 
 # runs cli.main on the argv in sys.argv[1:], stdout discarded, then prints the
-# exit code and the causetkit submodules the process has loaded
+# exit code, the causetkit submodules the process has loaded and whether it
+# has loaded dataclasses
 LOADED_SCRIPT = """
 import contextlib, io, json, sys
 from causetkit.cli import main
@@ -81,7 +83,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:  # --help
         code = exc.code
 loaded = sorted(name for name in sys.modules if name.startswith("causetkit."))
-print(json.dumps({"code": code, "loaded": loaded}))
+print(json.dumps({"code": code, "loaded": loaded, "dataclasses": "dataclasses" in sys.modules}))
 """
 
 SUBMODULES = ["checkerboard", "errors", "exact", "kinematics", "poset", "quantify"]
@@ -141,7 +143,7 @@ class TestNumpyStaysOut:
 class TestLoadPerCommand:
     """Each command loads only the submodules it runs, each in a fresh process."""
 
-    BASE = ["causetkit.cli", "causetkit.errors", "causetkit.exact", "causetkit.poset"]
+    BASE = ["causetkit.cli", "causetkit.errors"]
 
     def loaded(self, *argv):
         return json.loads(run_python("-c", LOADED_SCRIPT, *argv))
@@ -154,21 +156,50 @@ class TestLoadPerCommand:
         ["quantify", "LADDER", "--chain", "P", "--chain2", "Q", "--emit", "json"],
     ], ids=" ".join)
     def test_skips_quantify_and_kinematics(self, ladder_file, argv):
+        # --help loads no submodule but errors, validate and quantify add poset,
+        # and none of them loads dataclasses
+        expected = self.BASE if argv == ["--help"] else [*self.BASE, "causetkit.poset"]
         argv = [ladder_file if token == "LADDER" else token for token in argv]
-        assert self.loaded(*argv) == {"code": 0, "loaded": self.BASE}
+        assert self.loaded(*argv) == {"code": 0, "loaded": expected, "dataclasses": False}
 
     def test_particle_skips_quantify(self):
         got = self.loaded("particle", "--counts", "3,2", "--dp", "5", "--dq", "2")
-        assert got == {"code": 0, "loaded": sorted([*self.BASE, "causetkit.kinematics"])}
+        expected = [*self.BASE, "causetkit.exact", "causetkit.kinematics"]
+        assert got == {"code": 0, "loaded": sorted(expected), "dataclasses": True}
 
     def test_checkerboard_skips_quantify(self):
         got = self.loaded("checkerboard", "--steps", "6", "--method", "both")
-        expected = [*self.BASE, "causetkit.checkerboard", "causetkit.kinematics"]
-        assert got == {"code": 0, "loaded": sorted(expected)}
+        expected = [*self.BASE, "causetkit.checkerboard", "causetkit.exact",
+                    "causetkit.kinematics"]
+        assert got == {"code": 0, "loaded": sorted(expected), "dataclasses": True}
 
     def test_importing_the_package_loads_no_submodule(self):
         script = "import sys, causetkit\nprint([m for m in sys.modules if 'causetkit.' in m])"
         assert run_python("-c", script) == "[]\n"
+
+
+class TestCanonicalJson:
+    def test_surd_and_unserialisable_values_in_a_fresh_process(self):
+        # the rejections come first, while the process has not loaded exact
+        script = (
+            "import json\n"
+            "from fractions import Fraction\n"
+            "from causetkit.cli import canonical_json\n"
+            "errors = []\n"
+            "for bad in (1j, object()):\n"
+            "    try:\n"
+            "        canonical_json({'a': [bad]})\n"
+            "    except TypeError as exc:\n"
+            "        errors.append(str(exc))\n"
+            "from causetkit.exact import sqrt_exact\n"
+            "doc = {'s': sqrt_exact(8), 'l': [sqrt_exact(Fraction(1, 3)), sqrt_exact(4)]}\n"
+            "print(json.dumps(errors))\n"
+            "print(canonical_json(doc))\n"
+        )
+        assert run_python("-c", script).splitlines() == [
+            '["cannot serialize complex", "cannot serialize object"]',
+            '{"l": [0.57735026918962573, 2], "s": 2.8284271247461903}',
+        ]
 
 
 class TestPublicApi:

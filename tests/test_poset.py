@@ -11,6 +11,8 @@ from causetkit import (
     CycleError,
     PosetStructureError,
     SchemaError,
+    ValidationReport,
+    Violation,
     build_poset,
     causal_leq,
     dual,
@@ -119,6 +121,60 @@ class TestValidate:
     def test_ok_iff_no_violations(self):
         report = validate(two_chain_poset())
         assert report.ok == (not report.violations)
+
+
+class TestReportTypes:
+    """Violation and ValidationReport: repr, hash, equality, immutability."""
+
+    def cyclic_report(self):
+        poset = build_poset(
+            [("a", "P"), ("b", "Q")], {"P": ["a"], "Q": ["b"]}, [("a", "b"), ("b", "a")]
+        )
+        return validate(poset)
+
+    def test_repr(self):
+        report = self.cyclic_report()
+        violation = (
+            "Violation(rule='cycle', message=\"cycle detected among events: 'a', 'b'\", "
+            "events=('a', 'b'))"
+        )
+        assert repr(report.violations[0]) == violation
+        assert repr(report) == f"ValidationReport(violations=({violation},))"
+        assert repr(ValidationReport(())) == "ValidationReport(violations=())"
+
+    def test_hash_is_that_of_the_field_values(self):
+        report = self.cyclic_report()
+        v = report.violations[0]
+        assert hash(v) == hash((v.rule, v.message, v.events))
+        assert hash(report) == hash((report.violations,))
+
+    def test_equal_reports_compare_and_hash_equal(self):
+        first, second = self.cyclic_report(), self.cyclic_report()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != validate(two_chain_poset())
+        assert len({first, second}) == 1
+
+    def test_violation_equals_a_tuple_of_its_values(self):
+        v = Violation("cycle", "m", ("a",))
+        assert v == ("cycle", "m", ("a",))
+
+    @pytest.mark.parametrize("field", ["rule", "message", "events"])
+    def test_violation_fields_cannot_be_assigned(self, field):
+        v = self.cyclic_report().violations[0]
+        with pytest.raises(AttributeError):
+            setattr(v, field, "x")
+
+    def test_report_fields_cannot_be_assigned(self):
+        report = self.cyclic_report()
+        with pytest.raises(AttributeError):
+            report.violations = ()
+        with pytest.raises(AttributeError):
+            report.ok = True
+
+    def test_ok(self):
+        assert ValidationReport(()).ok is True
+        assert self.cyclic_report().ok is False
 
 
 class TestCausalLeq:
