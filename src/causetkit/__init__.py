@@ -11,7 +11,7 @@ propagator.
 from importlib import import_module as _import_module
 
 # the public names of each submodule; a submodule loads on first use of one of
-# its names (checkerboard, and with it numpy, only where something uses it)
+# its names
 _SUBMODULE_NAMES = {
     "errors": (
         "BoundaryError", "CapExceededError", "CausetkitError", "CoordinationUndecidableError",

@@ -8,6 +8,10 @@ in the canonical gauge every reversal of direction carries a factor of i.
 The kernel from an initial helicity state can be computed two independent
 ways: brute-force summation over all move strings, or repeated transfer-matrix
 steps of a spinor field on an integer lattice.
+
+The lattice is stepped in Python complex numbers.  Only the path sum and the
+2x2 matrix helpers import numpy, inside the functions that build arrays, so
+importing this module and running the matrix method load no numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .errors import BoundaryError, CapExceededError
 from .kinematics import (
@@ -29,6 +31,9 @@ from .kinematics import (
     UnorderedInfluenceCount,
     enumerate_orderings,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Amplitude = complex
 
@@ -152,12 +157,16 @@ class PropagatorPair:
 
     @cached_property
     def P(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[self.diagonal_entry, self.reversal_entry], [0, 0]], dtype=complex
         )
 
     @cached_property
     def Q(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[0, 0], [self.reversal_entry, self.diagonal_entry]], dtype=complex
         )
@@ -236,6 +245,8 @@ def verify_propagator_constraints(
     pp: PropagatorPair, tolerance: float = _TOL
 ) -> ConstraintReport:
     """Check Q†Q + P†P = I, the entry-level constraints, and unitarity of P + Q."""
+    import numpy as np
+
     P, Q = pp.P, pp.Q
     x, y = P[0, 0], P[0, 1]
     w, z = Q[1, 0], Q[1, 1]
@@ -347,6 +358,8 @@ class Spinor:
         return Spinor(self.phi_p / n, self.phi_q / n)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.phi_p, self.phi_q], dtype=complex)
 
     @classmethod
@@ -375,6 +388,8 @@ def unordered_amplitude(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Spinor:
     """Sum of sequence amplitudes over every ordering of the given counts."""
+    import numpy as np
+
     total = np.zeros(2, dtype=complex)
     for seq in enumerate_orderings(counts, cap=cap):
         total += sequence_amplitude(seq, pp, initial).as_array()
@@ -390,21 +405,38 @@ def unordered_amplitude(
 class CheckerboardField:
     """Helicity spinor field on integer lattice sites -radius..+radius.
 
+    `psi_p` and `psi_q` are lists of complex, index i holding site
+    i - radius; any sequence of numbers, numpy arrays included, is accepted
+    and copied.  Sites outside the field's window, a range of list indices,
+    are zero: a field built from sequences has every site in its window.  A
+    point source's window holds its origin with stride 2, as sites of the
+    other parity stay zero on the checkerboard, and each step grows a window
+    by one site each way, so stepping touches only the light cone.
+
     The lattice must be allocated large enough that the light cone never
     reaches the edge; stepping a field whose wavefront touches the boundary
     is a hard error, never wraparound.
     """
 
-    __slots__ = ("psi_p", "psi_q", "radius", "epsilon", "step_count")
+    __slots__ = ("psi_p", "psi_q", "radius", "epsilon", "step_count", "_window")
 
     def __init__(self, psi_p, psi_q, radius: int, epsilon: float = 1.0, step_count: int = 0):
-        self.psi_p = np.asarray(psi_p, dtype=complex)
-        self.psi_q = np.asarray(psi_q, dtype=complex)
+        self.psi_p = list(map(complex, psi_p))
+        self.psi_q = list(map(complex, psi_q))
         self.radius = radius
         self.epsilon = epsilon
         self.step_count = step_count
-        if self.psi_p.shape != (2 * radius + 1,) or self.psi_q.shape != (2 * radius + 1,):
+        self._window = range(2 * radius + 1)
+        if len(self.psi_p) != 2 * radius + 1 or len(self.psi_q) != 2 * radius + 1:
             raise ValueError("field arrays must cover sites -radius..+radius")
+
+    @classmethod
+    def _of_lists(cls, psi_p, psi_q, radius, epsilon, step_count, window) -> "CheckerboardField":
+        # complex lists taken as they are, zero outside the indices in `window`
+        field = cls.__new__(cls)
+        field.psi_p, field.psi_q, field.radius = psi_p, psi_q, radius
+        field.epsilon, field.step_count, field._window = epsilon, step_count, window
+        return field
 
     @classmethod
     def point_source(
@@ -412,34 +444,36 @@ class CheckerboardField:
     ) -> "CheckerboardField":
         """Unit amplitude at the origin in one helicity, sized for `steps` steps."""
         radius = steps + 1
-        psi_p = np.zeros(2 * radius + 1, dtype=complex)
-        psi_q = np.zeros(2 * radius + 1, dtype=complex)
+        psi_p = [0j] * (2 * radius + 1)
+        psi_q = [0j] * (2 * radius + 1)
         if helicity == P_MOVE:
-            psi_p[radius] = 1
+            psi_p[radius] = 1 + 0j
         elif helicity == Q_MOVE:
-            psi_q[radius] = 1
+            psi_q[radius] = 1 + 0j
         else:
             raise ValueError(f"helicity must be 'P' or 'Q', got {helicity!r}")
-        return cls(psi_p, psi_q, radius, epsilon)
+        return cls._of_lists(psi_p, psi_q, radius, epsilon, 0, range(radius, radius + 1, 2))
+
+    def _window_sites(self) -> Iterator[tuple[int, complex, complex]]:
+        """(position, psi_p, psi_q) for every site of the window, in order."""
+        w = self._window
+        positions = range(w.start - self.radius, w.stop - self.radius, w.step)
+        sites = slice(w.start, w.stop, w.step)
+        return zip(positions, self.psi_p[sites], self.psi_q[sites])
 
     @property
     def sites(self) -> dict[int, Spinor]:
         """Nonzero sites as a mapping position -> Spinor."""
-        (nonzero,) = np.nonzero((self.psi_p != 0) | (self.psi_q != 0))
-        spinors = map(Spinor, self.psi_p[nonzero].tolist(), self.psi_q[nonzero].tolist())
-        return dict(zip((nonzero - self.radius).tolist(), spinors))
+        return {x: Spinor(p, q) for x, p, q in self._window_sites() if p or q}
 
     def spinor_at(self, position: int) -> Spinor:
         i = position + self.radius
         if not 0 <= i <= 2 * self.radius:
             raise ValueError(f"site {position} outside allocated radius {self.radius}")
-        return Spinor(complex(self.psi_p[i]), complex(self.psi_q[i]))
+        return Spinor(self.psi_p[i], self.psi_q[i])
 
     def total_probability(self) -> float:
-        return float(
-            np.sum(self.psi_p.real**2 + self.psi_p.imag**2)
-            + np.sum(self.psi_q.real**2 + self.psi_q.imag**2)
-        )
+        return sum(map(born, self.psi_p)) + sum(map(born, self.psi_q))
 
 
 def step_field(field: CheckerboardField, pp: PropagatorPair) -> CheckerboardField:
@@ -447,24 +481,37 @@ def step_field(field: CheckerboardField, pp: PropagatorPair) -> CheckerboardFiel
 
     psi_p'(x) = a*e^(i*alpha)*psi_p(x-1) + b*e^(i*beta)*psi_q(x-1)
     psi_q'(x) = b*e^(i*beta)*psi_p(x+1) + a*e^(i*alpha)*psi_q(x+1)
+
+    Only the window's sites are read, and only the sites they feed are
+    written.  Every other site of the result is 0j, which is what a step of
+    the whole lattice gives there for the propagators that theta and mass
+    give.
     """
-    if (
-        field.psi_p[0] != 0
-        or field.psi_q[0] != 0
-        or field.psi_p[-1] != 0
-        or field.psi_q[-1] != 0
-    ):
+    p, q = field.psi_p, field.psi_q
+    if p[0] != 0 or q[0] != 0 or p[-1] != 0 or q[-1] != 0:
         raise BoundaryError(
             f"wavefront reached the allocated boundary at radius {field.radius}"
         )
     diag = pp.diagonal_entry
     off = pp.reversal_entry
-    new_p = np.zeros_like(field.psi_p)
-    new_q = np.zeros_like(field.psi_q)
-    new_p[1:] = diag * field.psi_p[:-1] + off * field.psi_q[:-1]
-    new_q[:-1] = off * field.psi_p[1:] + diag * field.psi_q[1:]
-    return CheckerboardField(
-        new_p, new_q, field.radius, field.epsilon, field.step_count + 1
+    size = len(p)
+    new_p = [0j] * size
+    new_q = [0j] * size
+    start, stop, stride = field._window.start, field._window.stop, field._window.step
+    # site i feeds psi_p at i + 1 and psi_q at i - 1, where those exist
+    lo, hi = start, min(stop, size - 1)
+    new_p[lo + 1 : hi + 1 : stride] = [
+        diag * x + off * y for x, y in zip(p[lo:hi:stride], q[lo:hi:stride])
+    ]
+    lo = start if start else stride
+    new_q[lo - 1 : stop - 1 : stride] = [
+        off * x + diag * y for x, y in zip(p[lo:stop:stride], q[lo:stop:stride])
+    ]
+    # grown by one site each way, inside the lattice and on the window's stride
+    lo = start - 1 if start else stride - 1
+    return CheckerboardField._of_lists(
+        new_p, new_q, field.radius, field.epsilon, field.step_count + 1,
+        range(lo, min(stop + 1, size), stride),
     )
 
 
@@ -485,6 +532,8 @@ def _extend(re, im, ends_q, q_count, moves: int, pp: PropagatorPair):
     A string is its weight (re, im), whether its last move is Q, and its
     number of Q moves.
     """
+    import numpy as np
+
     diag, rev = pp.diagonal_entry, pp.reversal_entry
     for _ in range(moves):
         child_q = np.tile([False, True], len(ends_q))
@@ -514,6 +563,8 @@ def kernel_pathsum(
     So the result is bit-for-bit the sum `out[key] = out.get(key, 0j) + weight`
     over the strings, with keys in order of first occurrence, zero sums kept.
     """
+    import numpy as np
+
     if initial_helicity not in (P_MOVE, Q_MOVE):
         raise ValueError(f"helicity must be 'P' or 'Q', got {initial_helicity!r}")
     total = 2**steps
@@ -543,39 +594,42 @@ def kernel_pathsum(
     }
 
 
-_HELICITIES = np.array([P_MOVE, Q_MOVE])
-
-
 class KernelColumns(NamedTuple):
-    """Kernel entries as parallel arrays sorted by (position, helicity 'P' < 'Q')."""
+    """Kernel entries as parallel lists sorted by (position, helicity 'P' < 'Q')."""
 
-    positions: np.ndarray
-    helicities: np.ndarray
-    amplitudes: np.ndarray
+    positions: list[int]
+    helicities: list[str]
+    amplitudes: list[complex]
 
     @classmethod
     def from_field(cls, field: CheckerboardField) -> "KernelColumns":
         """The nonzero components of a field, site-major with P before Q."""
-        stacked = np.stack((field.psi_p, field.psi_q), axis=1)
-        site, helicity = np.nonzero(stacked)
-        return cls(site - field.radius, _HELICITIES[helicity], stacked[site, helicity])
+        positions, helicities, amplitudes = [], [], []
+        for x, p, q in field._window_sites():
+            if p:
+                positions.append(x)
+                helicities.append(P_MOVE)
+                amplitudes.append(p)
+            if q:
+                positions.append(x)
+                helicities.append(Q_MOVE)
+                amplitudes.append(q)
+        return cls(positions, helicities, amplitudes)
 
     @classmethod
     def from_kernel(cls, k: Kernel) -> "KernelColumns":
         """Every entry of a kernel mapping, zero amplitudes included."""
         keys = sorted(k)
         positions, helicities = zip(*keys)
-        amplitudes = np.array([k[key] for key in keys], dtype=complex)
-        return cls(np.array(positions), np.array(helicities), amplitudes)
+        return cls(list(positions), list(helicities), [complex(k[key]) for key in keys])
 
     @property
-    def probabilities(self) -> np.ndarray:
-        """Elementwise re^2 + im^2: the same floats as `born` gives."""
-        return self.amplitudes.real**2 + self.amplitudes.imag**2
+    def probabilities(self) -> list[float]:
+        """Elementwise re*re + im*im: the same floats as `born` gives."""
+        return [a.real * a.real + a.imag * a.imag for a in self.amplitudes]
 
     def as_kernel(self) -> Kernel:
-        keys = zip(self.positions.tolist(), self.helicities.tolist())
-        return dict(zip(keys, self.amplitudes.tolist()))
+        return dict(zip(zip(self.positions, self.helicities), self.amplitudes))
 
 
 def field_kernel(field: CheckerboardField) -> Kernel:

@@ -126,26 +126,35 @@ def probability_svg(slices) -> Iterator[str]:
     all, keeping each as its per-position totals; each band after it is
     formatted when its chunk is asked for.
     """
-    import numpy as np
+    from array import array
 
     bar, band = 8, 64
     totals = []
     for step, cols in slices:
-        positions, first = np.unique(cols.positions, return_index=True)
-        totals.append((step, positions, np.add.reduceat(cols.probabilities, first)))
-    lo = min(int(xs[0]) for _, xs, _ in totals)
-    hi = max(int(xs[-1]) for _, xs, _ in totals)
+        # positions are sorted: P + Q of one site are neighbours; arrays hold
+        # every slice's totals in 16 bytes per position
+        xs, ps, last = array("q"), array("d"), None
+        for x, p in zip(cols.positions, cols.probabilities):
+            if x == last:
+                ps[-1] += p
+            else:
+                xs.append(x)
+                ps.append(p)
+                last = x
+        totals.append((step, xs, ps))
+    lo = min(xs[0] for _, xs, _ in totals)
+    hi = max(xs[-1] for _, xs, _ in totals)
     width = (hi - lo + 1) * bar + 80
     height = band * len(totals) + 20
     yield f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
     for i, (step, xs, ps) in enumerate(totals, start=1):
         base = i * band
-        # rint rounds half to even, as round() does
-        heights = np.maximum(1, np.rint(ps * (band - 14))).astype(int)
+        # round() rounds half to even
+        heights = [max(1, round(p * (band - 14))) for p in ps]
         bars = [
             f'<rect x="{60 + (x - lo) * bar}" y="{base - h}" width="{bar - 1}" height="{h}" '
             f'fill="#336699"><title>x={x} p={p:.17g}</title></rect>\n'
-            for x, p, h in zip(xs.tolist(), ps.tolist(), heights.tolist())
+            for x, p, h in zip(xs, ps, heights)
         ]
         yield f'<text x="4" y="{base - band // 2}" font-size="10">t={step}</text>\n' + "".join(bars)
     yield "</svg>\n"
@@ -367,6 +376,8 @@ def cmd_checkerboard(args) -> int:
         pp = cb.propagators_from_theta(args.theta)
     elif args.mass is not None:
         pp = cb.propagators_from_mass(args.mass, args.eps if args.eps is not None else 1.0)
+    elif args.eps is not None:
+        raise ValueError("--eps requires --mass")
     else:
         pp = cb.zero_momentum_propagators()
 
@@ -419,9 +430,9 @@ def cmd_checkerboard(args) -> int:
 def _kernel_rows(slices, emit: str) -> Iterator[list[str]]:
     """Each (step, KernelColumns) slice as a list of CSV or JSON rows."""
     for step, cols in slices:
-        t, x, helicity = itertools.repeat(step), cols.positions.tolist(), cols.helicities.tolist()
-        re, im = cols.amplitudes.real.tolist(), cols.amplitudes.imag.tolist()
-        probability = cols.probabilities.tolist()
+        t, x, helicity = itertools.repeat(step), cols.positions, cols.helicities
+        re, im = [a.real for a in cols.amplitudes], [a.imag for a in cols.amplitudes]
+        probability = cols.probabilities
         if emit == "json":
             yield list(map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x)))
         else:
@@ -495,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--steps", type=nonnegative_int, required=True)
     p_c.add_argument("--theta", type=float, default=None, help="(a, b) = (cos, sin) of theta")
     p_c.add_argument("--mass", type=float, default=None)
-    p_c.add_argument("--eps", type=float, default=None, help="time step (default 1.0)")
+    p_c.add_argument("--eps", type=float, default=None, help="time step of --mass (default 1.0)")
     p_c.add_argument("--initial", choices=["P", "Q"], default="P", help="initial helicity")
     p_c.add_argument("--method", choices=["matrix", "pathsum", "both"], default="matrix")
     # default: checkerboard.DEFAULT_PATHSUM_CAP, read when the command runs

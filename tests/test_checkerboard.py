@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causetkit import (
@@ -414,35 +414,30 @@ def same_items(got: dict, expected: dict) -> bool:
 # sees every case the loop's `!= 0` distinguishes
 COMPONENTS = [0.0, -0.0, 1.0, -0.5, 5e-324, math.nan, math.inf]
 site_values = st.builds(complex, st.sampled_from(COMPONENTS), st.sampled_from(COMPONENTS))
+# (radius, psi_p, psi_q) of a user-built field
+arbitrary_fields = st.integers(0, 6).flatmap(
+    lambda r: st.tuples(
+        st.just(r),
+        st.lists(site_values, min_size=2 * r + 1, max_size=2 * r + 1),
+        st.lists(site_values, min_size=2 * r + 1, max_size=2 * r + 1),
+    )
+)
+thetas = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2))
 
 
 class TestColumnsAgainstLoops:
-    @given(
-        psi=st.integers(0, 6).flatmap(
-            lambda r: st.tuples(
-                st.just(r),
-                st.lists(site_values, min_size=2 * r + 1, max_size=2 * r + 1),
-                st.lists(site_values, min_size=2 * r + 1, max_size=2 * r + 1),
-            )
-        )
-    )
+    @given(psi=arbitrary_fields)
     def test_arbitrary_fields(self, psi):
         radius, psi_p, psi_q = psi
         field = CheckerboardField(psi_p, psi_q, radius)
         expected = loop_kernel(field)
         assert same_items(field.sites, loop_sites(field))
         assert same_items(field_kernel(field), expected)
-        assert repr(KernelColumns.from_field(field).probabilities.tolist()) == repr(
+        assert repr(KernelColumns.from_field(field).probabilities) == repr(
             [born(amp) for amp in expected.values()]
         )
 
-    @given(
-        steps=st.integers(0, 40),
-        theta=st.one_of(
-            st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)
-        ),
-        initial=st.sampled_from(["P", "Q"]),
-    )
+    @given(steps=st.integers(0, 40), theta=thetas, initial=st.sampled_from(["P", "Q"]))
     def test_history_matches_stepped_fields(self, steps, theta, initial):
         pp = propagators_from_theta(theta)
         history = kernel_history(steps, pp, initial)
@@ -453,7 +448,7 @@ class TestColumnsAgainstLoops:
                 field = step_field(field, pp)
             expected = loop_kernel(field)
             assert same_items(columns.as_kernel(), expected)
-            assert repr(columns.probabilities.tolist()) == repr(
+            assert repr(columns.probabilities) == repr(
                 [born(amp) for amp in expected.values()]
             )
         assert same_items(kernel_matrix(steps, pp, initial), loop_kernel(field))
@@ -464,6 +459,127 @@ class TestColumnsAgainstLoops:
         assert 0j in k.values()
         columns = KernelColumns.from_kernel(k)
         assert same_items(columns.as_kernel(), dict(sorted(k.items())))
+
+
+# -- whole numpy arrays: the reference for the light-cone list stepping -------
+
+
+def numpy_step(psi_p, psi_q, pp):
+    """One transfer-matrix step of whole complex128 arrays; None where
+    `step_field` must raise BoundaryError."""
+    if psi_p[0] != 0 or psi_q[0] != 0 or psi_p[-1] != 0 or psi_q[-1] != 0:
+        return None
+    diag, off = pp.diagonal_entry, pp.reversal_entry
+    new_p, new_q = np.zeros_like(psi_p), np.zeros_like(psi_q)
+    with np.errstate(all="ignore"):  # NaN and inf sites
+        new_p[1:] = diag * psi_p[:-1] + off * psi_q[:-1]
+        new_q[:-1] = off * psi_p[1:] + diag * psi_q[1:]
+    return new_p, new_q
+
+
+def numpy_columns(psi_p, psi_q, radius):
+    """(positions, helicities, amplitudes, probabilities) of the nonzero
+    components, site-major with P before Q."""
+    stacked = np.stack((psi_p, psi_q), axis=1)
+    site, helicity = np.nonzero(stacked)
+    amplitudes = stacked[site, helicity]
+    with np.errstate(all="ignore"):
+        probabilities = amplitudes.real**2 + amplitudes.imag**2
+    return [
+        (site - radius).tolist(),
+        np.array(["P", "Q"])[helicity].tolist(),
+        amplitudes.tolist(),
+        probabilities.tolist(),
+    ]
+
+
+def list_columns(columns):
+    return [*columns, columns.probabilities]
+
+
+lattice_pairs = st.one_of(
+    st.builds(propagators_from_theta, thetas),
+    # b = sin(mass*eps) so small that a few reversals underflow to zero inside
+    # the light cone, with signed zeros where an i*i product lands
+    st.builds(propagators_from_mass, st.floats(5e-324, 1e-100), st.floats(0.5, 2.0)),
+)
+
+
+class TestListsAgainstNumpy:
+    # repr tells -0.0 from 0.0, so every column value must match bit for bit
+    @settings(deadline=None)
+    @given(steps=st.integers(0, 150), pp=lattice_pairs, initial=st.sampled_from(["P", "Q"]))
+    def test_history_bit_for_bit(self, steps, pp, initial):
+        radius = steps + 1
+        psi = {h: np.zeros(2 * radius + 1, dtype=complex) for h in "PQ"}
+        psi[initial][radius] = 1
+        psi_p, psi_q = psi["P"], psi["Q"]
+        history = kernel_history(steps, pp, initial)
+        for t, columns in enumerate(history):
+            if t:
+                psi_p, psi_q = numpy_step(psi_p, psi_q, pp)
+            assert repr(list_columns(columns)) == repr(numpy_columns(psi_p, psi_q, radius))
+
+    @pytest.mark.parametrize("initial", ["P", "Q"])
+    @pytest.mark.parametrize(
+        "pp",
+        [propagators_from_theta(math.pi / 2), propagators_from_mass(1e-200, 1.0),
+         propagators_from_theta(0.0), zero_momentum_propagators()],
+        ids=["theta-pi/2", "tiny-mass", "theta-0", "zero-momentum"],
+    )
+    def test_point_source_stepped_to_its_edges(self, pp, initial):
+        # sized for 24 steps, stepped on while the edge sites stay zero: where
+        # a^t and b*a^(t-1) underflow, the light cone reaches both edges
+        radius = 25
+        field = CheckerboardField.point_source(initial, radius - 1)
+        arrays = tuple(np.array(psi, dtype=complex) for psi in (field.psi_p, field.psi_q))
+        for _ in range(2 * radius):
+            arrays = numpy_step(*arrays, pp)
+            if arrays is None:
+                with pytest.raises(BoundaryError):
+                    step_field(field, pp)
+                return
+            field = step_field(field, pp)
+            assert repr([field.psi_p, field.psi_q]) == repr([a.tolist() for a in arrays])
+            assert repr(list_columns(KernelColumns.from_field(field))) == repr(
+                numpy_columns(*arrays, radius)
+            )
+        assert pp.a < 1e-16  # only theta pi/2 never raises
+
+    # the edge sites feed their inner neighbours, here a signed zero
+    @example(psi=(1, [complex(-0.0, 0.0)] * 3, [complex(-0.0, 0.0)] * 3), theta=0.5)
+    @given(psi=arbitrary_fields, theta=thetas)
+    def test_arbitrary_fields_step_bit_for_bit(self, psi, theta):
+        radius, psi_p, psi_q = psi
+        pp = propagators_from_theta(theta)
+        arrays = (np.array(psi_p, dtype=complex), np.array(psi_q, dtype=complex))
+        field = CheckerboardField(*arrays, radius)  # numpy arrays are copied to lists
+        # a field of 2*radius + 1 sites reaches its edge within radius + 1 steps
+        for _ in range(radius + 2):
+            arrays = numpy_step(*arrays, pp)
+            if arrays is None:
+                with pytest.raises(BoundaryError):
+                    step_field(field, pp)
+                return
+            field = step_field(field, pp)
+            assert repr([field.psi_p, field.psi_q]) == repr([a.tolist() for a in arrays])
+            assert repr(list_columns(KernelColumns.from_field(field))) == repr(
+                numpy_columns(*arrays, radius)
+            )
+
+    @pytest.mark.parametrize("helicity", ["P", "Q"])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_boundary_on_both_sides(self, helicity, side):
+        radius, pp = 3, zero_momentum_propagators()
+
+        def field_at(position):
+            psi = {"P": [0j] * (2 * radius + 1), "Q": [0j] * (2 * radius + 1)}
+            psi[helicity][position + radius] = 1
+            return CheckerboardField(psi["P"], psi["Q"], radius)
+
+        step_field(field_at(side * (radius - 1)), pp)
+        with pytest.raises(BoundaryError):
+            step_field(field_at(side * radius), pp)
 
 
 class TestKernels:

@@ -462,6 +462,13 @@ class TestCheckerboardCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
+    def test_eps_without_mass_exits_one(self, capsys, emit):
+        # --eps is the time step of the mass bridge; alone it used to be ignored
+        code, out, err = run(capsys, "checkerboard", "--steps", "3", "--eps", "2", "--emit", emit)
+        assert (code, out) == (1, "")
+        assert err == "error: --eps requires --mass\n"
+
     def test_svg_emission(self, capsys):
         code, out, _ = run(
             capsys, "checkerboard", "--steps", "4", "--emit", "svg"

@@ -1,8 +1,9 @@
 """What importing causetkit loads, and the names it binds.
 
 The package loads each submodule on first use of one of its names, and the
-CLI imports a submodule only inside the commands that run it.  So only
-`checkerboard` imports numpy, `--help` loads no submodule but `errors`,
+CLI imports a submodule only inside the commands that run it.  So only the
+path sum and the 2x2 matrix helpers of `checkerboard` import numpy (the
+matrix method steps Python lists), `--help` loads no submodule but `errors`,
 `validate` and `quantify` add only `poset` and leave out `dataclasses`, while
 the public API stays what it was when `__init__.py` imported every submodule
 eagerly.  Import state is per process, so each check runs in a fresh
@@ -134,9 +135,21 @@ class TestNumpyStaysOut:
         ]
         assert run_cli(argvs) == {"codes": [0] * len(argvs), "numpy": False}
 
+    def test_matrix_method_skips_numpy(self, tmp_path):
+        assert run_python(
+            "-c", "import sys, causetkit.checkerboard; print('numpy' in sys.modules)"
+        ) == "False\n"
+        argvs = [
+            ["checkerboard", "--steps", "6", "--emit", emit, *flags]
+            for emit in ("csv", "json", "svg")
+            for flags in ([], ["--theta", "0.4", "--initial", "Q"], ["--mass", "0.3"])
+        ] + [["checkerboard", "--steps", "6", "--emit", "svg", "--outdir", str(tmp_path)]]
+        assert run_cli(argvs) == {"codes": [0] * len(argvs), "numpy": False}
+
+    @pytest.mark.parametrize("method", ["pathsum", "both"])
     @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
-    def test_checkerboard_runs_and_loads_numpy(self, emit):
-        argvs = [["checkerboard", "--steps", "6", "--method", "both", "--emit", emit]]
+    def test_path_sum_loads_numpy(self, method, emit):
+        argvs = [["checkerboard", "--steps", "6", "--method", method, "--emit", emit]]
         assert run_cli(argvs) == {"codes": [0], "numpy": True}
 
 
