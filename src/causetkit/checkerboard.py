@@ -9,9 +9,9 @@ The kernel from an initial helicity state can be computed two independent
 ways: brute-force summation over all move strings, or repeated transfer-matrix
 steps of a spinor field on an integer lattice.
 
-The lattice is stepped in Python complex numbers.  Only the path sum and the
-2x2 matrix helpers import numpy, inside the functions that build arrays, so
-importing this module and running the matrix method load no numpy.
+The lattice and the path sum run in Python complex numbers.  Only the 2x2
+matrix helpers import numpy, inside the functions that build arrays, so
+importing this module and computing a kernel by either method load no numpy.
 """
 
 from __future__ import annotations
@@ -525,28 +525,6 @@ Kernel = dict[tuple[int, str], Amplitude]
 _BLOCK_EXPONENT = 14
 
 
-def _extend(re, im, ends_q, q_count, moves: int, pp: PropagatorPair):
-    """Append `moves` moves to every move string, each string followed by its
-    P child, then its Q child, so lexicographic order is kept.
-
-    A string is its weight (re, im), whether its last move is Q, and its
-    number of Q moves.
-    """
-    import numpy as np
-
-    diag, rev = pp.diagonal_entry, pp.reversal_entry
-    for _ in range(moves):
-        child_q = np.tile([False, True], len(ends_q))
-        same = np.repeat(ends_q, 2) == child_q
-        f_re = np.where(same, diag.real, rev.real)
-        f_im = np.where(same, diag.imag, rev.imag)
-        re, im = np.repeat(re, 2), np.repeat(im, 2)
-        # CPython's complex product; numpy's complex128 `*` can round differently
-        re, im = re * f_re - im * f_im, re * f_im + im * f_re
-        ends_q, q_count = child_q, np.repeat(q_count, 2) + child_q
-    return re, im, ends_q, q_count
-
-
 def kernel_pathsum(
     steps: int,
     pp: PropagatorPair,
@@ -557,14 +535,12 @@ def kernel_pathsum(
 
     Every move string is enumerated and weighted, in lexicographic order
     (P before Q), in blocks of 2^14 strings that share their leading moves.
-    A weight is the product of one propagator entry per move, taken left to
-    right in real arithmetic exactly as CPython multiplies complex numbers,
-    and each endpoint's weights are added one at a time in enumeration order.
-    So the result is bit-for-bit the sum `out[key] = out.get(key, 0j) + weight`
-    over the strings, with keys in order of first occurrence, zero sums kept.
+    A weight is the complex product of one propagator entry per move, taken
+    left to right, and each endpoint's weights are added one at a time in
+    enumeration order.  So the result is bit-for-bit the sum
+    `out[key] = out.get(key, 0j) + weight` over the strings, with keys in
+    order of first occurrence, zero sums kept.
     """
-    import numpy as np
-
     if initial_helicity not in (P_MOVE, Q_MOVE):
         raise ValueError(f"helicity must be 'P' or 'Q', got {initial_helicity!r}")
     total = 2**steps
@@ -573,25 +549,42 @@ def kernel_pathsum(
             f"path sum over {total} sequences exceeds the cap of {cap}; "
             "use the matrix method for deep kernels"
         )
+    if steps == 0:
+        return {(0, initial_helicity): 1 + 0j}
+    diag, rev = pp.diagonal_entry, pp.reversal_entry
     tail = min(steps, _BLOCK_EXPONENT)
-    root = (np.ones(1), np.zeros(1), np.array([initial_helicity == Q_MOVE]), np.zeros(1, int))
-    heads = _extend(*root, steps - tail, pp)
-    # endpoint slot 2 * (Q moves) + (last move is Q)
-    sum_re, sum_im = np.zeros(2 * steps + 2), np.zeros(2 * steps + 2)
-    first: dict[int, int] = {}
-    for block in range(len(heads[0])):
-        re, im, ends_q, q_count = _extend(*(a[block : block + 1] for a in heads), tail, pp)
-        slot = 2 * q_count + ends_q
-        np.add.at(sum_re, slot, re)
-        np.add.at(sum_im, slot, im)
-        reached, at = np.unique(slot, return_index=True)
-        for s, i in zip(reached.tolist(), at.tolist()):
-            first.setdefault(s, (block << tail) + i)
-    sum_re, sum_im = sum_re.tolist(), sum_im.tolist()
-    return {
-        (steps - 2 * (s // 2), Q_MOVE if s % 2 else P_MOVE): complex(sum_re[s], sum_im[s])
-        for s in sorted(first, key=first.get)
-    }
+    # endpoint slot 2 * (Q moves) + (last move is Q), less twice the head's Q
+    # moves: string i of a block has i.bit_count() Q moves after the head and
+    # ends in Q when i is odd
+    tail_slots = [2 * i.bit_count() + (i & 1) for i in range(2**tail)]
+    sums = [0j] * (2 * steps + 2)
+    for head in itertools.product((P_MOVE, Q_MOVE), repeat=steps - tail):
+        weight, previous = 1 + 0j, initial_helicity
+        for move in head:
+            weight *= diag if move == previous else rev
+            previous = move
+        # each string followed by its P child, then its Q child
+        if previous == P_MOVE:
+            level = [weight * diag, weight * rev]
+        else:
+            level = [weight * rev, weight * diag]
+        for _ in range(tail - 1):
+            ends_p, ends_q = level[0::2], level[1::2]
+            level = [0j] * (2 * len(level))
+            level[0::4] = [w * diag for w in ends_p]
+            level[1::4] = [w * rev for w in ends_p]
+            level[2::4] = [w * rev for w in ends_q]
+            level[3::4] = [w * diag for w in ends_q]
+        offset = 2 * head.count(Q_MOVE)
+        for slot, w in zip(tail_slots, level):
+            sums[offset + slot] += w
+    # first occurrences: all P, then c Q moves at the end, then c Q moves and a P
+    out = {(steps, P_MOVE): sums[0]}
+    for c in range(1, steps + 1):
+        out[steps - 2 * c, Q_MOVE] = sums[2 * c + 1]
+        if c < steps:
+            out[steps - 2 * c, P_MOVE] = sums[2 * c]
+    return out
 
 
 class KernelColumns(NamedTuple):

@@ -241,9 +241,10 @@ def _quantify_columns(poset, chain: str, chain2: str | None, mu: Fraction, absen
     """
     p_fwd, p_bwd = poset._projection_positions(chain)
     q_fwd = q_bwd = [None] * poset.n_events
-    if chain2:
+    n_p, n_q = len(poset.chains[chain]), 0
+    if chain2 is not None:
         q_fwd, q_bwd = poset._projection_positions(chain2)
-    n_p, n_q = len(poset.chains[chain]), len(poset.chains[chain2]) if chain2 else 0
+        n_q = len(poset.chains[chain2])
     # each s that can occur and none larger than the largest that does, so
     # mu overflows a float here only if it overflows in a printed cell
     a, b = mu.numerator, mu.denominator

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -731,6 +732,23 @@ class TestPathsumAgainstLoop:
     def test_bit_identical_across_blocks(self, steps, pp, initial):
         got = kernel_pathsum(steps, pp, initial)
         assert hex_items(got) == hex_items(loop_pathsum(steps, pp, initial))
+
+
+def pathsum_peak_bytes(steps: int) -> int:
+    """Peak traced allocation of one path sum."""
+    tracemalloc.start()
+    try:
+        kernel_pathsum(steps, zero_momentum_propagators(), "P")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPathsumMemory:
+    def test_peak_stays_flat_past_one_block(self):
+        # 14 steps fill one block of strings and 18 steps weigh 16 of them, one
+        # after another; a sum holding every string at once peaks 16x higher
+        assert pathsum_peak_bytes(18) <= 2 * pathsum_peak_bytes(14)
 
 
 # -- an exact oracle for the transfer matrix at any depth ------------------------

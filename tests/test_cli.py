@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from causetkit import save_poset
-from causetkit.cli import main
+from causetkit import ChainValuation, build_poset, quantification_rows, save_poset
+from causetkit.cli import main, rows_to_csv
 from conftest import ladder_poset
 
 
@@ -244,6 +244,28 @@ class TestQuantifyCommand:
         code, _, err = run(capsys, "quantify", ladder_file, "--chain", "Z")
         assert code == 1
         assert "unknown chain" in err
+
+    def test_empty_second_chain_id_names_a_chain(self, capsys, tmp_path):
+        # "" is a chain id like any other, so the rows are coordinated ones
+        poset = build_poset(
+            [("p0", "P"), ("p1", "P"), ("e0", ""), ("e1", "")],
+            {"P": ["p0", "p1"], "": ["e0", "e1"]},
+            [("p0", "e1"), ("e0", "p1")],
+        )
+        path = tmp_path / "empty_chain_id.json"
+        save_poset(poset, str(path))
+        rows = quantification_rows(
+            poset, ChainValuation.from_poset(poset, "P"), ChainValuation.from_poset(poset, "")
+        )
+        expected = rows_to_csv(rows, ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"])
+        code, out, _ = run(capsys, "quantify", str(path), "--chain", "P", "--chain2", "")
+        assert (code, out) == (0, expected)
+        assert "p0,0,0,1,,0.5,-0.5\n" in out
+
+    def test_empty_second_chain_id_unknown_exits_one(self, capsys, ladder_file):
+        code, out, err = run(capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "")
+        assert (code, out) == (1, "")
+        assert "unknown chain id: ''" in err
 
     def test_json_emission(self, capsys, ladder_file):
         code, out, _ = run(

@@ -260,7 +260,7 @@ def reference_quantify(poset, chain, chain2, mu, emit) -> str:
     """`quantify` output the general way: Fraction rows from quantification_rows,
     serialised by rows_to_csv or canonical_json."""
     valuation_p = ChainValuation.from_poset(poset, chain, mu)
-    valuation_q = ChainValuation.from_poset(poset, chain2, mu) if chain2 else None
+    valuation_q = ChainValuation.from_poset(poset, chain2, mu) if chain2 is not None else None
     rows = quantification_rows(poset, valuation_p, valuation_q)
     if emit == "csv":
         return rows_to_csv(rows, ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"])
