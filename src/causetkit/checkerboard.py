@@ -9,9 +9,9 @@ The kernel from an initial helicity state can be computed two independent
 ways: brute-force summation over all move strings, or repeated transfer-matrix
 steps of a spinor field on an integer lattice.
 
-The lattice and the path sum run in Python complex numbers.  Only the 2x2
-matrix helpers import numpy, inside the functions that build arrays, so
-importing this module and computing a kernel by either method load no numpy.
+Every amplitude, from a spinor moved through one sequence to either kernel,
+is computed in Python complex numbers.  Only `PropagatorPair.P`, `.Q` and
+`Spinor.as_array` import numpy, inside their bodies, as they return arrays.
 """
 
 from __future__ import annotations
@@ -244,25 +244,21 @@ class ConstraintReport:
 def verify_propagator_constraints(
     pp: PropagatorPair, tolerance: float = _TOL
 ) -> ConstraintReport:
-    """Check Q†Q + P†P = I, the entry-level constraints, and unitarity of P + Q."""
-    import numpy as np
+    """Check Q†Q + P†P = I, the entry-level constraints, and unitarity of P + Q.
 
-    P, Q = pp.P, pp.Q
-    x, y = P[0, 0], P[0, 1]
-    w, z = Q[1, 0], Q[1, 1]
-    identity = np.eye(2)
-    completeness = Q.conj().T @ Q + P.conj().T @ P
-    one_step = P + Q
+    The entries of Q†Q + P†P - I are the four entry-level residuals; as P†Q = 0,
+    (P + Q)†(P + Q) = Q†Q + P†P, so completeness and unitarity are their largest.
+    """
+    x = z = pp.diagonal_entry  # P = [[x, y], [0, 0]] and Q = [[0, 0], [w, z]]
+    y = w = pp.reversal_entry
     residuals = {
-        "completeness": float(np.max(np.abs(completeness - identity))),
         "norm-preserving-row-p": abs(w.conjugate() * w + x.conjugate() * x - 1),
         "norm-preserving-row-q": abs(z.conjugate() * z + y.conjugate() * y - 1),
         "off-diagonal-wz": abs(w.conjugate() * z + x.conjugate() * y),
         "off-diagonal-zw": abs(z.conjugate() * w + y.conjugate() * x),
-        "unitarity": float(
-            np.max(np.abs(one_step.conj().T @ one_step - identity))
-        ),
     }
+    largest = max(residuals.values())
+    residuals = {"completeness": largest, **residuals, "unitarity": largest}
     return ConstraintReport(residuals, tolerance, pp.is_canonical_gauge)
 
 
@@ -375,10 +371,11 @@ def sequence_amplitude(
     Matrices apply right-to-left (the sequence written in reverse order), so
     the first move's matrix hits the initial spinor first.
     """
-    vec = initial.as_array()
-    for move in seq.moves:
-        vec = pp.matrix_for(move) @ vec
-    return Spinor.from_array(vec)
+    p, q = complex(initial.phi_p), complex(initial.phi_q)
+    diag, rev = pp.diagonal_entry, pp.reversal_entry
+    for move in seq.moves:  # step_field's per-site formula
+        p, q = (diag * p + rev * q, 0j) if move == P_MOVE else (0j, rev * p + diag * q)
+    return Spinor(p, q)
 
 
 def unordered_amplitude(
@@ -387,13 +384,14 @@ def unordered_amplitude(
     initial: Spinor,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Spinor:
-    """Sum of sequence amplitudes over every ordering of the given counts."""
-    import numpy as np
-
-    total = np.zeros(2, dtype=complex)
+    """Sum of sequence amplitudes over every ordering of the given counts, added
+    in enumeration order, as `kernel_pathsum` adds each endpoint's weights."""
+    total_p = total_q = 0j
     for seq in enumerate_orderings(counts, cap=cap):
-        total += sequence_amplitude(seq, pp, initial).as_array()
-    return Spinor.from_array(total)
+        out = sequence_amplitude(seq, pp, initial)
+        total_p += out.phi_p
+        total_q += out.phi_q
+    return Spinor(total_p, total_q)
 
 
 # -- lattice field -------------------------------------------------------------
@@ -443,6 +441,8 @@ class CheckerboardField:
         cls, helicity: str, steps: int, epsilon: float = 1.0
     ) -> "CheckerboardField":
         """Unit amplitude at the origin in one helicity, sized for `steps` steps."""
+        if steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {steps}")
         radius = steps + 1
         psi_p = [0j] * (2 * radius + 1)
         psi_q = [0j] * (2 * radius + 1)
@@ -543,10 +543,12 @@ def kernel_pathsum(
     """
     if initial_helicity not in (P_MOVE, Q_MOVE):
         raise ValueError(f"helicity must be 'P' or 'Q', got {initial_helicity!r}")
-    total = 2**steps
-    if total > cap:
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    # 2**steps > cap whenever steps > int(cap).bit_length(), which spares the power
+    if steps > int(cap).bit_length() or 2**steps > cap:
         raise CapExceededError(
-            f"path sum over {total} sequences exceeds the cap of {cap}; "
+            f"path sum over 2^{steps} sequences exceeds the cap of {cap}; "
             "use the matrix method for deep kernels"
         )
     if steps == 0:
@@ -631,12 +633,9 @@ def field_kernel(field: CheckerboardField) -> Kernel:
 
 
 def _stepped_fields(steps: int, pp: PropagatorPair, helicity: str) -> Iterator[CheckerboardField]:
-    """A point source, then the field after each of `steps` steps, each made when asked for."""
-    field = CheckerboardField.point_source(helicity, steps)
-    yield field
-    for _ in range(steps):
-        field = step_field(field, pp)
-        yield field
+    """A point source, built now, then the field after each step, made when asked for."""
+    source = CheckerboardField.point_source(helicity, steps)
+    return itertools.accumulate(itertools.repeat(pp, steps), step_field, initial=source)
 
 
 def kernel_history(

@@ -395,8 +395,14 @@ def cmd_checkerboard(args) -> int:
                 f"the matrix method writes up to {row_bound} rows for {steps} steps, "
                 f"over the cap of {cap}"
             )
-        # stepped as the writer reads each slice
-        fields = cb._stepped_fields(steps, pp, args.initial)
+        # the point source is allocated here, before any output, and the
+        # fields are stepped as the writer reads each slice
+        try:
+            fields = cb._stepped_fields(steps, pp, args.initial)
+        except (MemoryError, OverflowError):
+            raise CapExceededError(
+                f"--steps {steps} needs a lattice too large to allocate"
+            ) from None
         slices = enumerate(map(cb.KernelColumns.from_field, fields))
 
     discrepancy = None

@@ -199,6 +199,26 @@ class TestPropagators:
         assert report.residuals["off-diagonal-wz"] > 0.9
         assert not report.canonical_gauge
 
+    @pytest.mark.parametrize("pp", [
+        zero_momentum_propagators(),
+        propagators_from_theta(0.3),
+        make_propagators(1.0, 0.0),
+        make_propagators(0.6, 0.8, 0.3, 1.1),
+        make_propagators(SQRT1_2, SQRT1_2, phase_beta=0.0),
+    ], ids=["zero-momentum", "theta-0.3", "non-reversing", "gauge", "no-quarter-turn"])
+    def test_matrix_residuals_are_the_largest_entry(self, pp):
+        residuals = dict(verify_propagator_constraints(pp).residuals)
+        largest = max(residuals[key] for key in (
+            "norm-preserving-row-p", "norm-preserving-row-q", "off-diagonal-wz", "off-diagonal-zw"
+        ))
+        assert residuals["completeness"] == residuals["unitarity"] == largest
+        # the matrix products in numpy, the reference, round differently
+        P, Q, identity = pp.P, pp.Q, np.eye(2)
+        completeness = np.max(np.abs(Q.conj().T @ Q + P.conj().T @ P - identity))
+        unitarity = np.max(np.abs((P + Q).conj().T @ (P + Q) - identity))
+        assert abs(completeness - largest) <= 1e-15
+        assert abs(unitarity - largest) <= 1e-15
+
     def test_mass_bridge_normalized(self):
         pp = propagators_from_mass(2.0, 0.05)
         assert verify_propagator_constraints(pp).ok
@@ -276,6 +296,18 @@ class TestPathWeight:
             path_weight(InfluenceSequence.from_string("P", "P"), object())
 
 
+UNIT_SPINORS = {"P": Spinor(1 + 0j, 0j), "Q": Spinor(0j, 1 + 0j)}
+# zero momentum, two angles, a mass bridge and a non-canonical gauge
+THREE_ROUTE_PAIRS = [
+    zero_momentum_propagators(),
+    propagators_from_theta(0.7),
+    propagators_from_theta(1.4),
+    propagators_from_mass(0.9, 0.6),
+    make_propagators(0.6, 0.8, 0.3, 1.1),
+]
+THREE_ROUTE_IDS = ["zero-momentum", "theta-0.7", "theta-1.4", "mass-0.9-eps-0.6", "gauge"]
+
+
 class TestSpinorPropagation:
     def test_single_move_formula(self):
         pp = propagators_from_theta(0.7)
@@ -328,6 +360,37 @@ class TestSpinorPropagation:
         out = unordered_amplitude(UnorderedInfluenceCount(2000, 0), pp, initial)
         expected = sequence_amplitude(InfluenceSequence(("P",) * 2000), pp, initial)
         assert out.as_array().tolist() == expected.as_array().tolist()
+
+    @pytest.mark.parametrize("pp", THREE_ROUTE_PAIRS, ids=THREE_ROUTE_IDS)
+    @pytest.mark.parametrize("initial", ["P", "Q"])
+    def test_unordered_equals_pathsum(self, pp, initial):
+        # the orderings with c Q moves are the strings that end at n - 2c, and
+        # both sums add them in the same order, so == holds, not just a tolerance
+        unit = UNIT_SPINORS[initial]
+        got, want = [], []
+        for n in range(11):
+            k = kernel_pathsum(n, pp, initial)
+            for c in range(n + 1):
+                out = unordered_amplitude(UnorderedInfluenceCount(n - c, c), pp, unit)
+                got += [out.phi_p, out.phi_q]
+                want += [k.get((n - 2 * c, "P"), 0j), k.get((n - 2 * c, "Q"), 0j)]
+        assert got == want
+
+    @pytest.mark.parametrize("pp", THREE_ROUTE_PAIRS, ids=THREE_ROUTE_IDS)
+    def test_sequence_equals_derived_path_weight(self, pp):
+        weighting = DerivedWeighting(pp)
+        mismatches = []
+        for initial in ("P", "Q"):
+            for length in range(9):
+                for moves in itertools.product(("P", "Q"), repeat=length):
+                    seq = InfluenceSequence(moves, initial)
+                    out = sequence_amplitude(seq, pp, UNIT_SPINORS[initial])
+                    weight = path_weight(seq, weighting).weight
+                    last = moves[-1] if moves else initial
+                    expected = (weight, 0j) if last == "P" else (0j, weight)
+                    if (out.phi_p, out.phi_q) != expected:
+                        mismatches.append(seq)
+        assert mismatches == []
 
     def test_unordered_cap(self):
         with pytest.raises(CapExceededError):
@@ -639,6 +702,24 @@ class TestKernels:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             kernel(2, zero_momentum_propagators(), "P", method="magic")
+
+    @pytest.mark.parametrize("call", [
+        lambda pp: kernel_matrix(-1, pp, "P"),
+        lambda pp: kernel_history(-3, pp, "Q"),
+        lambda pp: kernel_pathsum(-1, pp, "P"),
+        lambda pp: kernel(-1, pp, "P"),
+        lambda pp: kernel(-2, pp, "Q", method="pathsum"),
+        lambda pp: CheckerboardField.point_source("P", -1),
+    ], ids=["kernel_matrix", "kernel_history", "kernel_pathsum", "kernel-matrix",
+            "kernel-pathsum", "point_source"])
+    def test_negative_steps_rejected(self, call):
+        with pytest.raises(ValueError, match="steps must be nonnegative, got -"):
+            call(zero_momentum_propagators())
+
+    def test_pathsum_cap_far_past_the_int_string_limit(self):
+        # 2^20000 has 6,021 digits, more than str() of an int allows
+        with pytest.raises(CapExceededError, match=r"2\^20000 sequences"):
+            kernel_pathsum(20000, zero_momentum_propagators(), "P", cap=10**40)
 
     def test_bad_helicity(self):
         with pytest.raises(ValueError):

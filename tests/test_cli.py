@@ -441,6 +441,26 @@ class TestCheckerboardCommand:
         assert exc.value.code == 2
         assert "--steps: must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["1000000000000000", "10000000000000000000"],
+                             ids=["memory", "index-size"])
+    @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
+    def test_lattice_too_large_to_allocate_exits_three(self, capsys, tmp_path, emit, steps):
+        # 10^15 steps need lists of 16 PB, past the address space, so the
+        # allocation fails at once (MemoryError); 10^19 sites do not fit an
+        # index (OverflowError).  The point source is built before any output.
+        argv = ("checkerboard", "--steps", steps, "--cap", "1" + "0" * 40, "--emit", emit)
+        expected = (3, "", f"error: --steps {steps} needs a lattice too large to allocate\n")
+        assert run(capsys, *argv) == expected
+        outdir = tmp_path / "d"
+        assert run(capsys, *argv, "--outdir", str(outdir)) == expected
+        assert not outdir.exists()
+
+    def test_pathsum_cap_past_the_int_string_limit_exits_three(self, capsys):
+        # 2^20000 sequences: the count has more digits than str() of an int allows
+        code, out, err = run(capsys, "checkerboard", "--steps", "20000", "--method", "pathsum")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: path sum over 2^20000 sequences exceeds the cap of 1000000")
+
     @pytest.mark.parametrize(
         "flags, named",
         [

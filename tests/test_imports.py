@@ -1,9 +1,10 @@
 """What importing causetkit loads, and the names it binds.
 
 The package loads each submodule on first use of one of its names, and the
-CLI imports a submodule only inside the commands that run it.  So only the
-2x2 matrix helpers of `checkerboard` import numpy (the matrix method and the
-path sum both run in Python complex numbers) and no command loads it,
+CLI imports a submodule only inside the commands that run it.  Every
+amplitude is computed in Python complex numbers, so only the array accessors
+`PropagatorPair.P`, `.Q` and `Spinor.as_array` import numpy: no command loads
+it, and with numpy unimportable every command and helper but those runs;
 `--help` loads no submodule but `errors`, `validate` and `quantify` add only
 `poset` and leave out `dataclasses`, while the public API stays what it was
 when `__init__.py` imported every submodule eagerly.  Import state is per
@@ -68,6 +69,50 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:  # --help
             codes.append(exc.code)
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+# the amplitude helpers and kernels, run with numpy and without it
+HELPERS = """
+from causetkit import *
+
+pp = make_propagators(0.6, 0.8, 0.3, 1.1)
+initial = Spinor(complex(0.6, 0.1), complex(0.2, -0.77))
+helpers = [
+    verify_propagator_constraints(pp),
+    sequence_amplitude(InfluenceSequence.from_string("PQQPQ"), pp, initial),
+    unordered_amplitude(UnorderedInfluenceCount(3, 2), pp, initial),
+    kernel_matrix(7, pp, "Q"),
+    kernel_pathsum(7, pp, "Q"),
+    kernel(5, pp, "P", method="pathsum"),
+    kernel_history(3, pp, "P"),
+]
+"""
+
+# blocks numpy, then runs cli.main on each argv in sys.argv[1] (a JSON list),
+# stdout discarded, HELPERS and the array accessors; prints the exit codes, the
+# reprs of the helpers' results and whether each accessor raised ImportError
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # import numpy now raises ImportError
+from causetkit.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:  # --help
+            codes.append(exc.code)
+""" + HELPERS + """
+import_errors = []
+for accessor in (lambda: pp.P, lambda: pp.Q, initial.as_array):
+    try:
+        accessor()
+        import_errors.append(False)
+    except ImportError:
+        import_errors.append(True)
+print(json.dumps({"codes": codes, "helpers": list(map(repr, helpers)), "import_errors": import_errors}))
 """
 
 
@@ -151,6 +196,31 @@ class TestNumpyStaysOut:
     def test_path_sum_skips_numpy(self, method, emit):
         argvs = [["checkerboard", "--steps", "6", "--method", method, "--emit", emit]]
         assert run_cli(argvs) == {"codes": [0], "numpy": False}
+
+
+class TestWithoutNumpy:
+    def test_everything_but_the_array_accessors_runs(self, ladder_file, tmp_path):
+        argvs = [
+            ["--help"],
+            ["validate", ladder_file, "--emit", "json"],
+            ["quantify", ladder_file, "--chain", "P", "--chain2", "Q"],
+            ["quantify", ladder_file, "--chain", "P", "--emit", "json"],
+            ["particle", "--counts", "3,2", "--dp", "5", "--dq", "2", "--events", "10"],
+            ["particle", "--sequence", "PPQPQ", "--emit", "csv"],
+            ["particle", "--random", "64", "0.5", "12345", "--outdir", str(tmp_path / "p")],
+        ] + [
+            ["checkerboard", "--steps", "6", "--method", method, "--emit", emit, "--mass", "0.3"]
+            for method in ("matrix", "pathsum", "both")
+            for emit in ("csv", "json", "svg")
+        ] + [["checkerboard", "--steps", "6", "--emit", "svg", "--outdir", str(tmp_path / "c")]]
+        got = json.loads(run_python("-c", NO_NUMPY_SCRIPT, json.dumps(argvs)))
+        with_numpy: dict = {}  # the same helpers in this process, which has numpy
+        exec(HELPERS, with_numpy)
+        assert got == {
+            "codes": [0] * len(argvs),
+            "helpers": list(map(repr, with_numpy["helpers"])),
+            "import_errors": [True] * 3,
+        }
 
 
 class TestLoadPerCommand:
