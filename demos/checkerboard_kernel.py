@@ -67,7 +67,7 @@ for pos in sorted(probs):
 # A massive particle on a fine lattice: b = sin(m*eps) makes the reversal
 # amplitude i*sin(m*eps) ~ i*m*eps, and probability stays pinned to 1.
 fine = propagators_from_mass(mass=1.0, epsilon=0.05)
-field = CheckerboardField.point_source("P", 400, epsilon=0.05)
+field = CheckerboardField.point_source("P", 400)
 for _ in range(400):
     field = step_field(field, fine)
 print(f"\nmass bridge: reversal amplitude {fine.reversal_entry:.5f} ~ i*m*eps = 0.05j")

@@ -175,9 +175,6 @@ class PropagatorPair:
     def is_canonical_gauge(self) -> bool:
         return self.phase_alpha == 0.0 and self.phase_beta == math.pi / 2
 
-    def matrix_for(self, move: str) -> np.ndarray:
-        return self.P if move == P_MOVE else self.Q
-
     def transition_entry(self, previous: str, move: str) -> complex:
         """Matrix entry for arriving with helicity `move` after helicity `previous`."""
         return self.diagonal_entry if previous == move else self.reversal_entry
@@ -358,10 +355,6 @@ class Spinor:
 
         return np.array([self.phi_p, self.phi_q], dtype=complex)
 
-    @classmethod
-    def from_array(cls, vec) -> "Spinor":
-        return cls(complex(vec[0]), complex(vec[1]))
-
 
 def sequence_amplitude(
     seq: InfluenceSequence, pp: PropagatorPair, initial: Spinor
@@ -416,30 +409,27 @@ class CheckerboardField:
     is a hard error, never wraparound.
     """
 
-    __slots__ = ("psi_p", "psi_q", "radius", "epsilon", "step_count", "_window")
+    __slots__ = ("psi_p", "psi_q", "radius", "step_count", "_window")
 
-    def __init__(self, psi_p, psi_q, radius: int, epsilon: float = 1.0, step_count: int = 0):
+    def __init__(self, psi_p, psi_q, radius: int):
         self.psi_p = list(map(complex, psi_p))
         self.psi_q = list(map(complex, psi_q))
         self.radius = radius
-        self.epsilon = epsilon
-        self.step_count = step_count
+        self.step_count = 0
         self._window = range(2 * radius + 1)
         if len(self.psi_p) != 2 * radius + 1 or len(self.psi_q) != 2 * radius + 1:
             raise ValueError("field arrays must cover sites -radius..+radius")
 
     @classmethod
-    def _of_lists(cls, psi_p, psi_q, radius, epsilon, step_count, window) -> "CheckerboardField":
+    def _of_lists(cls, psi_p, psi_q, radius, step_count, window) -> "CheckerboardField":
         # complex lists taken as they are, zero outside the indices in `window`
         field = cls.__new__(cls)
         field.psi_p, field.psi_q, field.radius = psi_p, psi_q, radius
-        field.epsilon, field.step_count, field._window = epsilon, step_count, window
+        field.step_count, field._window = step_count, window
         return field
 
     @classmethod
-    def point_source(
-        cls, helicity: str, steps: int, epsilon: float = 1.0
-    ) -> "CheckerboardField":
+    def point_source(cls, helicity: str, steps: int) -> "CheckerboardField":
         """Unit amplitude at the origin in one helicity, sized for `steps` steps."""
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -452,7 +442,7 @@ class CheckerboardField:
             psi_q[radius] = 1 + 0j
         else:
             raise ValueError(f"helicity must be 'P' or 'Q', got {helicity!r}")
-        return cls._of_lists(psi_p, psi_q, radius, epsilon, 0, range(radius, radius + 1, 2))
+        return cls._of_lists(psi_p, psi_q, radius, 0, range(radius, radius + 1, 2))
 
     def _window_sites(self) -> Iterator[tuple[int, complex, complex]]:
         """(position, psi_p, psi_q) for every site of the window, in order."""
@@ -510,7 +500,7 @@ def step_field(field: CheckerboardField, pp: PropagatorPair) -> CheckerboardFiel
     # grown by one site each way, inside the lattice and on the window's stride
     lo = start - 1 if start else stride - 1
     return CheckerboardField._of_lists(
-        new_p, new_q, field.radius, field.epsilon, field.step_count + 1,
+        new_p, new_q, field.radius, field.step_count + 1,
         range(lo, min(stop + 1, size), stride),
     )
 

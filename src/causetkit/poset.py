@@ -2,10 +2,12 @@
 
 Each particle is a totally ordered chain of events.  An influence edge orders
 an event on one chain before an event on another.  The union of chain-successor
-edges and influence edges, closed transitively, is the causal order: one
-breadth-first search answers reachability, and two linear sweeps per chain give
-the projections onto it, cached on the poset at any size.  Posets are immutable
-after construction; any number of readers may query concurrently.
+edges and influence edges, closed transitively, is the causal order.
+`build_poset` resolves each event id to an index once and builds the successor
+and predecessor lists as it checks them: one breadth-first search answers
+reachability, and two linear sweeps per chain give the projections onto it,
+cached on the poset at any size.  Posets are immutable after construction; any
+number of readers may query concurrently.
 """
 
 from __future__ import annotations
@@ -55,34 +57,22 @@ class CausalPoset:
         "_projections",
     )
 
-    def __init__(self, events, chain_of, chains, influence_edges):
+    def __init__(self, events, chain_of, chains, influence_edges, index, succ, pred):
         self.events: tuple[EventId, ...] = events
         self.chain_of: dict[EventId, str] = chain_of
         self.chains: dict[str, tuple[EventId, ...]] = chains
         self.influence_edges: tuple[tuple[EventId, EventId], ...] = influence_edges
-        self._index = {e: i for i, e in enumerate(events)}
-        self._succ = self._build_adjacency()
+        self._index: dict[EventId, int] = index
+        self._succ: list[list[int]] = succ
+        self._pred: list[list[int]] = pred
         self._topo = self._topological_order()
-        self._pred: list[list[int]] | None = None
         self._projections: dict[str, tuple[list, list]] = {}
 
     # -- derived structure -------------------------------------------------
 
-    def _build_adjacency(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in self.events]
-        for order in self.chains.values():
-            for a, b in zip(order, order[1:]):
-                succ[self._index[a]].append(self._index[b])
-        for a, b in self.influence_edges:
-            succ[self._index[a]].append(self._index[b])
-        return succ
-
     def _topological_order(self) -> tuple[int, ...]:
         """Kahn's algorithm; on a cyclic relation, the prefix it can order."""
-        indegree = [0] * len(self.events)
-        for targets in self._succ:
-            for t in targets:
-                indegree[t] += 1
+        indegree = list(map(len, self._pred))
         ready = deque(i for i, d in enumerate(indegree) if d == 0)
         order = []
         while ready:
@@ -103,12 +93,6 @@ class CausalPoset:
         # filling the cache is idempotent, so concurrent readers need no lock
         cached = self._projections.get(chain_id)
         if cached is None:
-            if self._pred is None:
-                pred: list[list[int]] = [[] for _ in self.events]
-                for v, targets in enumerate(self._succ):
-                    for t in targets:
-                        pred[t].append(v)
-                self._pred = pred
             targets = [(k, self._index[e]) for k, e in enumerate(self.chains[chain_id])]
             cached = self._projections[chain_id] = (
                 _first_reached(targets, self._pred),
@@ -209,29 +193,39 @@ def build_poset(
     influence are checked by :func:`validate`, which reports violations as
     data rather than raising.
     """
-    event_list: list[EventId] = []
     chain_of: dict[EventId, str] = {}
     for event, chain in events:
         if event in chain_of:
             raise PosetStructureError(f"duplicate EventId: {event!r}")
         chain_of[event] = chain
-        event_list.append(event)
+    index = {event: i for i, event in enumerate(chain_of)}
+    succ: list[list[int]] = [[] for _ in index]
+    pred: list[list[int]] = [[] for _ in index]
 
     chain_orders: dict[str, tuple[EventId, ...]] = {}
-    placed: dict[EventId, str] = {}
+    placed = [False] * len(index)
     for chain, order in chains.items():
         order = tuple(order)
+        prev = None
         for event in order:
-            if event not in chain_of:
+            i = index.get(event)
+            if i is None:
                 raise PosetStructureError(
                     f"unresolved EventId in chain {chain!r}: {event!r}"
                 )
-            if event in placed or chain_of[event] != chain:
-                other = placed.get(event, chain_of[event])
+            if chain_of[event] != chain:
                 raise PosetStructureError(
-                    f"event {event!r} assigned to two chains: {other!r} and {chain!r}"
+                    f"event {event!r} assigned to two chains: "
+                    f"{chain_of[event]!r} and {chain!r}"
                 )
-            placed[event] = chain
+            # only events on their declared chain are placed
+            if placed[i]:
+                raise PosetStructureError(f"event {event!r} listed twice in chain {chain!r}")
+            placed[i] = True
+            if prev is not None:
+                succ[prev].append(i)
+                pred[i].append(prev)
+            prev = i
         chain_orders[chain] = order
 
     for event, chain in chain_of.items():
@@ -242,14 +236,18 @@ def build_poset(
 
     edges: list[tuple[EventId, EventId]] = []
     for src, dst in influence_edges:
-        for end in (src, dst):
-            if end not in chain_of:
-                raise PosetStructureError(
-                    f"unresolved EventId in influence edge: {end!r}"
-                )
+        i, j = index.get(src), index.get(dst)
+        if i is None or j is None:
+            raise PosetStructureError(
+                f"unresolved EventId in influence edge: {src if i is None else dst!r}"
+            )
+        succ[i].append(j)
+        pred[j].append(i)
         edges.append((src, dst))
 
-    return CausalPoset(tuple(event_list), chain_of, chain_orders, tuple(edges))
+    return CausalPoset(
+        tuple(chain_of), chain_of, chain_orders, tuple(edges), index, succ, pred
+    )
 
 
 def validate(poset: CausalPoset) -> ValidationReport:

@@ -446,6 +446,16 @@ class TestFieldStepping:
         assert set(field.sites) == {0}
         assert field.sites[0].phi_p == 1
 
+    def test_fields_take_no_step_size(self):
+        # the lattice is dimensionless; a step size is never read, so an old
+        # positional or keyword epsilon fails instead of landing elsewhere
+        field = CheckerboardField([0j] * 3, [1 + 0j, 0j, 0j], 1)
+        assert field.step_count == 0
+        with pytest.raises(TypeError):
+            CheckerboardField([0j] * 3, [0j] * 3, 1, 0.05)
+        with pytest.raises(TypeError):
+            CheckerboardField.point_source("P", 2, epsilon=0.05)
+
 
 # -- per-site loops: the reference for the column extraction -----------------
 

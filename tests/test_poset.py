@@ -63,27 +63,48 @@ class TestBuild:
         assert poset.n_events == 0
         assert validate(poset).ok
 
+    @staticmethod
+    def error_text(events, chains, influence) -> str:
+        with pytest.raises(PosetStructureError) as info:
+            build_poset(events, chains, influence)
+        return str(info.value)
+
     def test_duplicate_event_rejected(self):
-        with pytest.raises(PosetStructureError, match="duplicate"):
-            build_poset([("a", "P"), ("a", "P")], {"P": ["a"]}, [])
+        text = self.error_text([("a", "P"), ("a", "P")], {"P": ["a"]}, [])
+        assert text == "duplicate EventId: 'a'"
 
     def test_unresolved_chain_member_rejected(self):
-        with pytest.raises(PosetStructureError, match="unresolved"):
-            build_poset([("a", "P")], {"P": ["a", "ghost"]}, [])
+        text = self.error_text([("a", "P")], {"P": ["a", "ghost"]}, [])
+        assert text == "unresolved EventId in chain 'P': 'ghost'"
 
     def test_unresolved_influence_endpoint_rejected(self):
-        with pytest.raises(PosetStructureError, match="unresolved"):
-            build_poset([("a", "P")], {"P": ["a"]}, [("a", "ghost")])
+        text = self.error_text([("a", "P")], {"P": ["a"]}, [("a", "ghost")])
+        assert text == "unresolved EventId in influence edge: 'ghost'"
+
+    @pytest.mark.parametrize("edge", [("ghost", "a"), ("ghost", "spook")])
+    def test_unresolved_influence_source_named_first(self, edge):
+        text = self.error_text([("a", "P")], {"P": ["a"]}, [edge])
+        assert text == "unresolved EventId in influence edge: 'ghost'"
 
     def test_event_on_two_chains_rejected(self):
-        with pytest.raises(PosetStructureError, match="two chains"):
-            build_poset(
-                [("a", "P"), ("b", "Q")], {"P": ["a", "b"], "Q": []}, []
-            )
+        # b is declared on Q but listed in P
+        text = self.error_text([("a", "P"), ("b", "Q")], {"P": ["a", "b"], "Q": []}, [])
+        assert text == "event 'b' assigned to two chains: 'Q' and 'P'"
+
+    def test_event_listed_in_two_chains_rejected(self):
+        # a is listed in its own chain P, then again in Q
+        text = self.error_text(
+            [("a", "P"), ("b", "Q")], {"P": ["a"], "Q": ["b", "a"]}, []
+        )
+        assert text == "event 'a' assigned to two chains: 'P' and 'Q'"
+
+    def test_event_on_unknown_chain_rejected(self):
+        text = self.error_text([("a", "P"), ("b", "Q")], {"P": ["a"]}, [])
+        assert text == "event 'b' declared on unknown chain 'Q'"
 
     def test_event_repeated_in_chain_rejected(self):
-        with pytest.raises(PosetStructureError):
-            build_poset([("a", "P"), ("b", "P")], {"P": ["a", "b", "a"]}, [])
+        text = self.error_text([("a", "P"), ("b", "P")], {"P": ["a", "b", "a"]}, [])
+        assert text == "event 'a' listed twice in chain 'P'"
 
 
 class TestValidate:
@@ -247,6 +268,18 @@ class TestOrderAxioms:
                 for y in poset.events:
                     if x != y and causal_leq(poset, x, y):
                         assert position[x] < position[y]
+
+    def test_topological_order_is_pinned(self):
+        # p0 has a chain successor (p1) and an influence successor (q0), and
+        # so has q0 (q1, then p2): Kahn's algorithm takes successors in the
+        # order chain edges first, then influence edges
+        poset = build_poset(
+            [("q0", "Q"), ("q1", "Q"), ("p0", "P"), ("p1", "P"), ("p2", "P")],
+            {"Q": ["q0", "q1"], "P": ["p0", "p1", "p2"]},
+            [("p0", "q0"), ("q0", "p2")],
+        )
+        assert topological_order(poset) == ["p0", "p1", "q0", "q1", "p2"]
+        assert topological_order(dual(poset)) == ["q1", "p2", "p1", "q0", "p0"]
 
     def test_topological_sort_fails_on_cycle(self):
         poset = build_poset(
