@@ -10,6 +10,12 @@ propagator.
 
 from importlib import import_module as _import_module
 
+# the move letters and the ordering cap, which kinematics and checkerboard both
+# import from here, so that neither has to load the other for them
+P_MOVE = "P"
+Q_MOVE = "Q"
+DEFAULT_ENUMERATION_CAP = 10**6
+
 # the public names of each submodule; a submodule loads on first use of one of
 # its names
 _SUBMODULE_NAMES = {
@@ -32,10 +38,10 @@ _SUBMODULE_NAMES = {
         "to_spacetime",
     ),
     "kinematics": (
-        "DEFAULT_ENUMERATION_CAP", "InfluenceSequence", "KinematicState", "P_MOVE", "Q_MOVE",
-        "SpacetimePath", "UnorderedInfluenceCount", "count_orderings", "enumerate_orderings",
-        "kinematic_state", "path_rows", "random_sequence", "rates", "sequence_to_path",
-        "transform_energy_momentum", "transform_rates",
+        "InfluenceSequence", "KinematicState", "SpacetimePath", "UnorderedInfluenceCount",
+        "count_orderings", "enumerate_orderings", "kinematic_state", "path_rows",
+        "random_sequence", "rates", "sequence_to_path", "transform_energy_momentum",
+        "transform_rates",
     ),
     "checkerboard": (
         "Amplitude", "CheckerboardField", "ConstraintReport", "DerivedWeighting",
@@ -50,7 +56,7 @@ _SUBMODULE_NAMES = {
 }
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
-__all__ = [*_SUBMODULE_NAMES, *_SUBMODULE_OF]
+__all__ = [*_SUBMODULE_NAMES, *_SUBMODULE_OF, "DEFAULT_ENUMERATION_CAP", "P_MOVE", "Q_MOVE"]
 
 
 def __getattr__(name):

@@ -11,29 +11,26 @@ steps of a spinor field on an integer lattice.
 
 Every amplitude, from a spinor moved through one sequence to either kernel,
 is computed in Python complex numbers.  Only `PropagatorPair.P`, `.Q` and
-`Spinor.as_array` import numpy, inside their bodies, as they return arrays.
+`Spinor.as_array` import numpy, inside their bodies, as they return arrays;
+each call builds a new array.  The value types are named tuples, and
+`kinematics`' influence sequences are only annotations here, so importing
+this module loads neither `dataclasses` nor `kinematics`;
+`unordered_amplitude` imports `kinematics` when it is called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
+from . import DEFAULT_ENUMERATION_CAP, P_MOVE, Q_MOVE
 from .errors import BoundaryError, CapExceededError
-from .kinematics import (
-    DEFAULT_ENUMERATION_CAP,
-    InfluenceSequence,
-    P_MOVE,
-    Q_MOVE,
-    UnorderedInfluenceCount,
-    enumerate_orderings,
-)
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .kinematics import InfluenceSequence, UnorderedInfluenceCount
 
 Amplitude = complex
 
@@ -130,8 +127,7 @@ def _unit_phase(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True)
-class PropagatorPair:
+class PropagatorPair(NamedTuple):
     """Per-move 2x2 amplitude matrices acting on helicity spinors.
 
     P = [[a*e^(i*alpha), b*e^(i*beta)], [0, 0]] and
@@ -155,7 +151,7 @@ class PropagatorPair:
         """Amplitude of a direction reversal: b*e^(i*beta)."""
         return self.b * _unit_phase(self.phase_beta)
 
-    @cached_property
+    @property
     def P(self) -> np.ndarray:
         import numpy as np
 
@@ -163,7 +159,7 @@ class PropagatorPair:
             [[self.diagonal_entry, self.reversal_entry], [0, 0]], dtype=complex
         )
 
-    @cached_property
+    @property
     def Q(self) -> np.ndarray:
         import numpy as np
 
@@ -225,8 +221,7 @@ def zero_momentum_propagators() -> PropagatorPair:
     return make_propagators(r, r)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Residuals of the probability-conservation constraints on a propagator pair."""
 
     residuals: dict
@@ -285,22 +280,19 @@ def reversal_count(seq: InfluenceSequence) -> int:
     return reversals
 
 
-@dataclass(frozen=True)
-class PathWeight:
+class PathWeight(NamedTuple):
     reversals: int
     weight: Amplitude
 
 
-@dataclass(frozen=True)
-class FeynmanWeighting:
+class FeynmanWeighting(NamedTuple):
     """Corner-counting weight (i*mass*epsilon)^R."""
 
     mass: float
     epsilon: float
 
 
-@dataclass(frozen=True)
-class DerivedWeighting:
+class DerivedWeighting(NamedTuple):
     """Per-step matrix-entry product under a propagator pair."""
 
     propagators: PropagatorPair
@@ -334,8 +326,7 @@ def path_weight(seq: InfluenceSequence, weighting) -> PathWeight:
 # -- spinors -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spinor:
+class Spinor(NamedTuple):
     """Two amplitude components indexed by helicity of the most recent move."""
 
     phi_p: Amplitude
@@ -379,6 +370,8 @@ def unordered_amplitude(
 ) -> Spinor:
     """Sum of sequence amplitudes over every ordering of the given counts, added
     in enumeration order, as `kernel_pathsum` adds each endpoint's weights."""
+    from .kinematics import enumerate_orderings
+
     total_p = total_q = 0j
     for seq in enumerate_orderings(counts, cap=cap):
         out = sequence_amplitude(seq, pp, initial)

@@ -8,17 +8,17 @@ All output is deterministic for fixed inputs, flags and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import decimal
 import itertools
 import os
 import re
 import sys
 import warnings
-from fractions import Fraction
-from typing import Iterable, Iterator
-from json.encoder import encode_basestring
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import CapExceededError, CausetkitError, SchemaError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _TOLERANCE = 1e-12
 
@@ -48,6 +48,8 @@ def format_number(value) -> str:
         try:
             return str(value)
         except ValueError:  # past 4,300 digits; Decimal is exact and unlimited
+            import decimal
+
             return str(decimal.Decimal(value))
     return format(float(value), ".17g")
 
@@ -66,8 +68,10 @@ def _write_json(obj, pieces: list[str]) -> None:
         pieces.append("true" if obj else "false")
     elif isinstance(obj, str):
         # the string encoder of json.dumps(obj, ensure_ascii=False)
+        from json.encoder import encode_basestring
+
         pieces.append(encode_basestring(obj))
-    elif isinstance(obj, (int, float, Fraction)):
+    elif isinstance(obj, (int, float)):
         pieces.append(format_number(obj))
     elif isinstance(obj, dict):
         pieces.append("{")
@@ -86,10 +90,15 @@ def _write_json(obj, pieces: list[str]) -> None:
             _write_json(item, pieces)
         pieces.append("]")
     else:
-        from .exact import Surd  # no command writes one, so exact loads only here
+        # quantify writes its --mu as a Fraction and no command writes a Surd:
+        # the Fraction test comes first, so exact loads only for a Surd
+        from fractions import Fraction
 
-        if not isinstance(obj, Surd):
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        if not isinstance(obj, Fraction):
+            from .exact import Surd
+
+            if not isinstance(obj, Surd):
+                raise TypeError(f"cannot serialize {type(obj).__name__}")
         pieces.append(format_number(obj))
 
 
@@ -217,6 +226,8 @@ def cmd_validate(args) -> int:
 
 
 def _fraction(text: str, flag: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):  # "1/0" raises the latter
@@ -269,6 +280,8 @@ def cmd_quantify(args) -> int:
     columns = _quantify_columns(poset, args.chain, args.chain2, mu, absent)
     if args.emit == "json":
         p_fwd, p_bwd, q_fwd, q_bwd, t, x = columns
+        from json.encoder import encode_basestring
+
         ids = map(encode_basestring, poset.events)
         rows = map(_QUANTIFY_JSON_ROW.__mod__, zip(ids, p_bwd, p_fwd, q_bwd, q_fwd, t, x))
         doc = {"chain": args.chain, "chain2": args.chain2, "mu": mu}

@@ -17,19 +17,16 @@ from itertools import accumulate
 from numbers import Rational
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import DEFAULT_ENUMERATION_CAP, P_MOVE, Q_MOVE
 from .errors import CapExceededError
 from .exact import Surd, collapse, sqrt_exact
 
 if TYPE_CHECKING:  # only an annotation, so importing kinematics does not load quantify
     from .quantify import LinearRelation
 
-P_MOVE = "P"
-Q_MOVE = "Q"
 _MOVES = (P_MOVE, Q_MOVE)
 
 HALF = Fraction(1, 2)
-
-DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class UnorderedInfluenceCount(NamedTuple):

@@ -235,6 +235,139 @@ class TestPropagators:
                 assert (a == d and b == c) or (b == -c and a == -d)
 
 
+GAUGE_PAIR = make_propagators(0.6, 0.8, 0.3, 1.1)
+GAUGE_PAIR_REPR = "PropagatorPair(a=0.6, b=0.8, phase_alpha=0.3, phase_beta=1.1)"
+# each immutable value type: two equal instances built apart, a different
+# instance, and the exact repr
+VALUE_TYPES = {
+    "PropagatorPair": (
+        lambda: make_propagators(0.6, 0.8, 0.3, 1.1),
+        make_propagators(0.8, 0.6, 0.3, 1.1),
+        GAUGE_PAIR_REPR,
+    ),
+    "PathWeight": (
+        lambda: checkerboard.PathWeight(2, complex(-0.01, 0.0)),
+        checkerboard.PathWeight(2, 0.01j),
+        "PathWeight(reversals=2, weight=(-0.01+0j))",
+    ),
+    "FeynmanWeighting": (
+        lambda: FeynmanWeighting(1.0, 0.1),
+        FeynmanWeighting(1.0, 0.2),
+        "FeynmanWeighting(mass=1.0, epsilon=0.1)",
+    ),
+    "DerivedWeighting": (
+        lambda: DerivedWeighting(make_propagators(0.6, 0.8, 0.3, 1.1)),
+        DerivedWeighting(zero_momentum_propagators()),
+        f"DerivedWeighting(propagators={GAUGE_PAIR_REPR})",
+    ),
+    "Spinor": (
+        lambda: Spinor(complex(0.6, 0.1), complex(-0.0, -0.77)),
+        Spinor(complex(0.6, 0.1), 0j),
+        "Spinor(phi_p=(0.6+0.1j), phi_q=(-0-0.77j))",
+    ),
+}
+
+
+class TestValueTypes:
+    """The six value classes: repr, equality, hash, immutability, defaults."""
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_repr(self, name):
+        build, _, expected = VALUE_TYPES[name]
+        assert repr(build()) == expected
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_equal_instances_compare_and_hash_equal(self, name):
+        build, other, _ = VALUE_TYPES[name]
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != other
+        assert len({first, second, other}) == 2
+
+    def test_hash_is_that_of_the_field_values(self):
+        assert hash(GAUGE_PAIR) == hash((0.6, 0.8, 0.3, 1.1))
+        assert hash(Spinor(1j, 2.0)) == hash((1j, 2.0))
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_fields_cannot_be_assigned(self, name):
+        value = VALUE_TYPES[name][0]()
+        for field in type(value).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0.0)
+
+    def test_report_fields_cannot_be_assigned(self):
+        report = verify_propagator_constraints(GAUGE_PAIR)
+        for field in ("residuals", "tolerance", "canonical_gauge"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+
+    def test_report_repr_and_equality(self):
+        report = verify_propagator_constraints(make_propagators(1.0, 0.0))
+        residuals = ", ".join(f"'{key}': 0.0" for key in (
+            "completeness", "norm-preserving-row-p", "norm-preserving-row-q",
+            "off-diagonal-wz", "off-diagonal-zw", "unitarity",
+        ))
+        assert repr(report) == (
+            f"ConstraintReport(residuals={{{residuals}}}, tolerance=1e-12, canonical_gauge=True)"
+        )
+        assert report == verify_propagator_constraints(make_propagators(1.0, 0.0))
+        assert report != verify_propagator_constraints(GAUGE_PAIR)
+        with pytest.raises(TypeError):  # the residuals are a dict
+            hash(report)
+
+    def test_report_defaults(self):
+        report = checkerboard.ConstraintReport({"x": 0.5})
+        assert report.tolerance == 1e-12
+        assert report.canonical_gauge is True
+        assert repr(report) == (
+            "ConstraintReport(residuals={'x': 0.5}, tolerance=1e-12, canonical_gauge=True)"
+        )
+        assert report.ok is False
+        assert checkerboard.ConstraintReport({"x": 0.5}, tolerance=0.5).ok is True
+
+    def test_propagator_defaults_are_the_canonical_gauge(self):
+        pp = checkerboard.PropagatorPair(0.6, 0.8)
+        assert (pp.phase_alpha, pp.phase_beta) == (0.0, math.pi / 2)
+        assert pp.is_canonical_gauge and not GAUGE_PAIR.is_canonical_gauge
+
+    def test_matrices(self):
+        diag, rev = GAUGE_PAIR.diagonal_entry, GAUGE_PAIR.reversal_entry
+        assert diag == 0.6 * complex(math.cos(0.3), math.sin(0.3))
+        assert rev == 0.8 * complex(math.cos(1.1), math.sin(1.1))
+        for matrix, expected in (
+            (GAUGE_PAIR.P, [[diag, rev], [0, 0]]),
+            (GAUGE_PAIR.Q, [[0, 0], [rev, diag]]),
+        ):
+            assert matrix.shape == (2, 2) and matrix.dtype == complex
+            assert np.array_equal(matrix, np.array(expected, dtype=complex))
+        assert np.array_equal(Spinor(1j, 2.0).as_array(), np.array([1j, 2.0]))
+
+    def test_values_are_named_tuples(self):
+        a, b, alpha, beta = GAUGE_PAIR
+        assert (a, b, alpha, beta) == GAUGE_PAIR == (0.6, 0.8, 0.3, 1.1)
+        assert Spinor(1j, 2.0) == (1j, 2.0)
+        # each access builds a new array
+        assert GAUGE_PAIR.P is not GAUGE_PAIR.P
+
+    def test_path_weight_dispatches_on_the_weighting_type(self):
+        seq = InfluenceSequence.from_string("PQP", "P")
+        feynman = path_weight(seq, FeynmanWeighting(1.0, 0.1))
+        derived = path_weight(seq, DerivedWeighting(GAUGE_PAIR))
+        assert type(feynman) is type(derived) is checkerboard.PathWeight
+        assert feynman == checkerboard.PathWeight(2, (0.1j) * (0.1j))
+        rev, diag = GAUGE_PAIR.reversal_entry, GAUGE_PAIR.diagonal_entry
+        assert derived == checkerboard.PathWeight(2, (1 + 0j) * diag * rev * rev)
+
+    @pytest.mark.parametrize("weighting", [
+        (1.0, 0.1), (GAUGE_PAIR,), GAUGE_PAIR, None, "derived",
+    ], ids=["mass-epsilon-tuple", "pair-tuple", "pair", "none", "text"])
+    def test_path_weight_rejects_other_weightings(self, weighting):
+        # a tuple of a weighting's values is not that weighting
+        with pytest.raises(TypeError, match="unsupported weighting"):
+            path_weight(InfluenceSequence.from_string("PQP", "P"), weighting)
+
+
 class TestReversals:
     def test_pqp(self):
         assert reversal_count(InfluenceSequence.from_string("PQP", "P")) == 2

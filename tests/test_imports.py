@@ -4,11 +4,14 @@ The package loads each submodule on first use of one of its names, and the
 CLI imports a submodule only inside the commands that run it.  Every
 amplitude is computed in Python complex numbers, so only the array accessors
 `PropagatorPair.P`, `.Q` and `Spinor.as_array` import numpy: no command loads
-it, and with numpy unimportable every command and helper but those runs;
-`--help` loads no submodule but `errors`, `validate` and `quantify` add only
-`poset` and leave out `dataclasses`, while the public API stays what it was
-when `__init__.py` imported every submodule eagerly.  Import state is per
-process, so each check runs in a fresh interpreter.
+it, and with numpy unimportable every command and helper but those runs.
+`--help` loads no submodule but `errors`; `validate` and `quantify` add only
+`poset`, and `checkerboard` only `checkerboard`, in every method and format.
+None of them loads `dataclasses`, and only `quantify` loads `fractions` and
+`decimal`; `particle` loads `kinematics`, `exact` and all three.
+`unordered_amplitude` loads `kinematics` when it is called.  The public API
+stays what it was when `__init__.py` imported every submodule eagerly.
+Import state is per process, so each check runs in a fresh interpreter.
 """
 
 import json
@@ -118,7 +121,7 @@ print(json.dumps({"codes": codes, "helpers": list(map(repr, helpers)), "import_e
 
 # runs cli.main on the argv in sys.argv[1:], stdout discarded, then prints the
 # exit code, the causetkit submodules the process has loaded and whether it
-# has loaded dataclasses
+# has loaded dataclasses, decimal and fractions
 LOADED_SCRIPT = """
 import contextlib, io, json, sys
 from causetkit.cli import main
@@ -129,7 +132,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:  # --help
         code = exc.code
 loaded = sorted(name for name in sys.modules if name.startswith("causetkit."))
-print(json.dumps({"code": code, "loaded": loaded, "dataclasses": "dataclasses" in sys.modules}))
+stdlib = {name: name in sys.modules for name in ("dataclasses", "decimal", "fractions")}
+print(json.dumps({"code": code, "loaded": loaded, **stdlib}))
 """
 
 SUBMODULES = ["checkerboard", "errors", "exact", "kinematics", "poset", "quantify"]
@@ -240,21 +244,54 @@ class TestLoadPerCommand:
     ], ids=" ".join)
     def test_skips_quantify_and_kinematics(self, ladder_file, argv):
         # --help loads no submodule but errors, validate and quantify add poset,
-        # and none of them loads dataclasses
+        # and none of them loads dataclasses; quantify reads --mu as a Fraction,
+        # and fractions imports decimal
         expected = self.BASE if argv == ["--help"] else [*self.BASE, "causetkit.poset"]
+        rational = argv[0] == "quantify"
         argv = [ladder_file if token == "LADDER" else token for token in argv]
-        assert self.loaded(*argv) == {"code": 0, "loaded": expected, "dataclasses": False}
+        assert self.loaded(*argv) == {
+            "code": 0, "loaded": expected,
+            "dataclasses": False, "decimal": rational, "fractions": rational,
+        }
 
     def test_particle_skips_quantify(self):
         got = self.loaded("particle", "--counts", "3,2", "--dp", "5", "--dq", "2")
         expected = [*self.BASE, "causetkit.exact", "causetkit.kinematics"]
-        assert got == {"code": 0, "loaded": sorted(expected), "dataclasses": True}
+        assert got == {
+            "code": 0, "loaded": sorted(expected),
+            "dataclasses": True, "decimal": True, "fractions": True,
+        }
 
     def test_checkerboard_skips_quantify(self):
-        got = self.loaded("checkerboard", "--steps", "6", "--method", "both")
-        expected = [*self.BASE, "causetkit.checkerboard", "causetkit.exact",
-                    "causetkit.kinematics"]
-        assert got == {"code": 0, "loaded": sorted(expected), "dataclasses": True}
+        # and kinematics and exact too: every method and format loads cli,
+        # errors and checkerboard, and none of dataclasses, decimal or fractions
+        runs = [(method, emit) for method in ("matrix", "pathsum", "both")
+                for emit in ("csv", "json", "svg")]
+        got = {
+            f"{method} {emit}": self.loaded(
+                "checkerboard", "--steps", "6", "--method", method, "--emit", emit
+            )
+            for method, emit in runs
+        }
+        only = {
+            "code": 0, "loaded": sorted([*self.BASE, "causetkit.checkerboard"]),
+            "dataclasses": False, "decimal": False, "fractions": False,
+        }
+        assert got == {f"{method} {emit}": only for method, emit in runs}
+
+    def test_unordered_amplitude_loads_kinematics_when_called(self):
+        # counts as a plain tuple, so that only the call can load kinematics
+        script = (
+            "import sys\n"
+            "from causetkit import checkerboard as cb\n"
+            "pp = cb.make_propagators(0.6, 0.8, 0.3, 1.1)\n"
+            "k = cb.kernel_pathsum(5, pp, 'P')\n"
+            "before = 'causetkit.kinematics' in sys.modules\n"
+            "out = cb.unordered_amplitude((3, 2), pp, cb.Spinor(1 + 0j, 0j))\n"
+            "print(before, 'causetkit.kinematics' in sys.modules)\n"
+            "print((out.phi_p, out.phi_q) == (k[1, 'P'], k[1, 'Q']))\n"
+        )
+        assert run_python("-c", script) == "False True\nTrue\n"
 
     def test_importing_the_package_loads_no_submodule(self):
         script = "import sys, causetkit\nprint([m for m in sys.modules if 'causetkit.' in m])"
