@@ -301,6 +301,15 @@ def _parse_counts(text: str) -> tuple[int, int]:
     return p, q
 
 
+def _parse_random(values: list[str]) -> tuple[int, float, int]:
+    try:
+        return int(values[0]), float(values[1]), int(values[2])
+    except ValueError:
+        raise ValueError(
+            f"--random expects LENGTH PROB_P SEED (int, float, int), got {' '.join(values)!r}"
+        ) from None
+
+
 # the cells after t and x of a path CSV row, by move
 _PATH_MOVE_CELLS = {"P": "P,1,P", "Q": "Q,-1,Q"}
 
@@ -333,7 +342,7 @@ def cmd_particle(args) -> int:
         seq = kin.InfluenceSequence.from_string(args.sequence, args.initial_helicity)
         counts = seq.counts()
     elif args.random is not None:
-        length, prob_p, seed = int(args.random[0]), float(args.random[1]), int(args.random[2])
+        length, prob_p, seed = _parse_random(args.random)
         seq = kin.random_sequence(length, prob_p, seed)
         if args.initial_helicity:
             seq = kin.InfluenceSequence(seq.moves, args.initial_helicity)
@@ -421,7 +430,9 @@ def cmd_checkerboard(args) -> int:
     discrepancy = None
     if args.method == "both":
         pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=cap)
-        discrepancy = cb.kernel_discrepancy(cb.kernel_matrix(steps, pp, args.initial), pathsum)
+        # the path-sum cap bounds steps, so every slice fits; the last is kernel_matrix's kernel
+        slices = list(slices)
+        discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
         if args.emit != "json":  # JSON carries it in the document
             print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 

@@ -250,6 +250,13 @@ def sqrt_exact(value) -> Surd:
     return Surd(1, value)
 
 
+def sqrt_exact_or_float(value):
+    """collapse(sqrt_exact(value)) for a Rational or a Surd, math.sqrt(value) otherwise."""
+    if isinstance(value, (Rational, Surd)):
+        return collapse(sqrt_exact(value))
+    return math.sqrt(value)
+
+
 def collapse(value):
     """Fold a rational-valued Surd back into a plain Fraction; pass others through."""
     if isinstance(value, Surd) and value.is_rational:

@@ -14,12 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Rational
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_ENUMERATION_CAP, P_MOVE, Q_MOVE
 from .errors import CapExceededError
-from .exact import Surd, collapse, sqrt_exact
+from .exact import collapse, sqrt_exact_or_float
 
 if TYPE_CHECKING:  # only an annotation, so importing kinematics does not load quantify
     from .quantify import LinearRelation
@@ -156,14 +155,13 @@ def path_rows(path: SpacetimePath) -> list[dict]:
 
 
 def rates(n_events: int, dp, dq):
-    """Average influence rates over a projected interval: (N/dp, N/dq)."""
+    """Average influence rates over a projected interval: (N/dp, N/dq), each a
+    Fraction for an int or Fraction length and a float for a float length."""
     if n_events <= 0:
         raise ValueError("event count must be positive")
     if dp <= 0 or dq <= 0:
         raise ValueError("projected lengths must be positive")
-    if isinstance(dp, Rational) and isinstance(dq, Rational):
-        return Fraction(n_events, 1) / Fraction(dp), Fraction(n_events, 1) / Fraction(dq)
-    return n_events / dp, n_events / dq
+    return Fraction(n_events) / dp, Fraction(n_events) / dq
 
 
 @dataclass(frozen=True)
@@ -187,35 +185,20 @@ class KinematicState:
 
 
 def kinematic_state(r_p, r_q) -> KinematicState:
-    """Describe a particle by its influence rates; exact for rational rates."""
+    """Describe a particle by its influence rates; the mass is exact unless a
+    rate is a float, and an irrational surd product raises ValueError."""
     if r_p <= 0 or r_q <= 0:
         raise ValueError("rates must be positive")
     energy = (r_p + r_q) / 2
     momentum = (r_q - r_p) / 2
-    if _exact_pair(r_p, r_q):
-        mass = collapse(sqrt_exact(_product_fraction(r_p, r_q)))
-    else:
-        mass = math.sqrt(r_p * r_q)
+    mass = sqrt_exact_or_float(r_p * r_q)
     return KinematicState(r_p, r_q, mass, energy, momentum, momentum / energy)
 
 
-def _exact_pair(a, b) -> bool:
-    return isinstance(a, (Rational, Surd)) and isinstance(b, (Rational, Surd))
-
-
-def _product_fraction(a, b) -> Fraction:
-    product = a * b
-    if isinstance(product, Surd):
-        return product.as_fraction()
-    return Fraction(product)
-
-
 def transform_rates(r_p, r_q, relation: LinearRelation):
-    """Rates transform inversely to intervals: (sqrt(n/m)*r_p, sqrt(m/n)*r_q)."""
+    """Rates transform inversely to intervals: (sqrt(n/m)*r_p, sqrt(m/n)*r_q), each
+    exact for an exact rate, so r_p*r_q is kept, and scaled by float(boost) for a float."""
     boost = relation.boost()
-    if isinstance(r_p, float) or isinstance(r_q, float):
-        b = float(boost)
-        return r_p / b, r_q * b
     return collapse(r_p / boost), collapse(r_q * boost)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Mapping
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     UnknownEventError,
     UnquantifiableIntervalError,
 )
-from .exact import Surd, collapse, sqrt_exact
+from .exact import Surd, collapse, sqrt_exact, sqrt_exact_or_float
 from .poset import CausalPoset, EventId
 
 MODE_SINGLE_CHAIN = "single-chain"
@@ -30,10 +29,6 @@ MODE_COORDINATED = "coordinated"
 CHAIN_LIKE = "chain-like"
 ANTICHAIN_LIKE = "antichain-like"
 PROJECTION_LIKE = "projection-like"
-
-
-def _exactable(value) -> bool:
-    return isinstance(value, (Rational, Surd))
 
 
 @dataclass(frozen=True)
@@ -217,16 +212,17 @@ class LinearRelation:
 
     @property
     def k(self):
-        """Geometric mean sqrt(m*n): the self-quantified interval length."""
-        if _exactable(self.m) and _exactable(self.n):
-            return collapse(sqrt_exact(Fraction(self.m) * Fraction(self.n)))
-        return math.sqrt(self.m * self.n)
+        """Geometric mean sqrt(m*n), the self-quantified interval length: exact unless
+        a constant is a float, and ValueError if m*n is an irrational surd."""
+        return sqrt_exact_or_float(self.m * self.n)
 
     def boost(self) -> Surd:
-        """Exact sqrt(m/n) rescaling factor (floats convert exactly to rationals)."""
+        """Exact sqrt(m/n) rescaling factor: floats convert exactly to rationals,
+        surds divide as they are, and an irrational m/n raises ValueError."""
         if self.m <= 0 or self.n <= 0:
             raise ValueError("boost requires m > 0 and n > 0")
-        return sqrt_exact(Fraction(self.m) / Fraction(self.n))
+        m, n = (c if isinstance(c, Surd) else Fraction(c) for c in (self.m, self.n))
+        return sqrt_exact(m / n)
 
 
 def pair_transform(pair: IntervalPair, relation: LinearRelation) -> IntervalPair:

@@ -345,6 +345,15 @@ class TestParticleCommand:
         assert doc["seed"] == 99
         assert len(doc["sequence"]) == 32
 
+    @pytest.mark.parametrize(
+        "values", [("1e3", "0.5", "1"), ("10", "0.5", "1.5"), ("10", "half", "1")]
+    )
+    def test_malformed_random_names_the_flag(self, capsys, values):
+        code, out, err = run(capsys, "particle", "--random", *values)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --random expects LENGTH PROB_P SEED")
+        assert err.endswith(f", got {' '.join(values)!r}\n") and err.count("\n") == 1
+
     def test_source_flags_mutually_exclusive(self, capsys):
         code, _, err = run(capsys, "particle", "--counts", "1,1", "--sequence", "PQ")
         assert code == 1
@@ -403,6 +412,16 @@ class TestCheckerboardCommand:
         doc = json.loads(out)
         assert doc["max_discrepancy"] <= 1e-12
         assert doc["tolerance"] == 1e-12
+
+    @pytest.mark.parametrize("method", ["matrix", "both"])
+    def test_lattice_stepped_once(self, capsys, monkeypatch, method):
+        from causetkit import checkerboard as cb
+
+        calls = []
+        step_field = cb.step_field
+        monkeypatch.setattr(cb, "step_field", lambda *a: calls.append(1) or step_field(*a))
+        code, _, _ = run(capsys, "checkerboard", "--steps", "7", "--method", method)
+        assert (code, len(calls)) == (0, 7)
 
     def test_matrix_conservation_column(self, capsys):
         code, out, _ = run(capsys, "checkerboard", "--steps", "200", "--method", "matrix")

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from causetkit import (
     transform_energy_momentum,
     transform_rates,
 )
+from causetkit.exact import Surd, collapse, sqrt_exact
 
 positive_rates = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(40), max_denominator=30
@@ -154,6 +156,11 @@ class TestRates:
     def test_unit(self):
         assert rates(1, 1, 1) == (1, 1)
 
+    def test_each_rate_keeps_its_own_type(self):
+        r_p, r_q = rates(10, 5, 4.0)
+        assert (r_p, r_q) == (2, 2.5)
+        assert type(r_p) is Fraction and type(r_q) is float
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             rates(0, 1, 1)
@@ -210,10 +217,91 @@ class TestRateTransforms:
         r_p, r_q = transform_rates(2.0, 5.0, LinearRelation(4, 1))
         assert math.isclose(r_p * r_q, 10.0, rel_tol=1e-12)
 
+    def test_surd_relation_keeps_product(self):
+        rel = LinearRelation(sqrt_exact(2), 2 * sqrt_exact(2))
+        r_p, r_q = transform_rates(Fraction(2), Fraction(5), rel)
+        assert r_p * r_q == 10
+
+    def test_each_rate_keeps_its_own_type(self):
+        r_p, r_q = transform_rates(2.0, Fraction(5), LinearRelation(4, 1))
+        assert (r_p, r_q) == (1.0, 10)
+        assert type(r_p) is float and type(r_q) is Fraction
+
     @given(r_p=positive_rates, r_q=positive_rates, m=positive_constants, n=positive_constants)
     def test_product_invariant_exactly(self, r_p, r_q, m, n):
         out_p, out_q = transform_rates(r_p, r_q, LinearRelation(m, n))
         assert out_p * out_q == r_p * r_q
+
+
+# the type-branching rates, mass, transform_rates and k that the numeric tower
+# replaced, kept as oracles: the library must give the same types and bits
+def branching_rates(n_events, dp, dq):
+    if isinstance(dp, Rational) and isinstance(dq, Rational):
+        return Fraction(n_events, 1) / Fraction(dp), Fraction(n_events, 1) / Fraction(dq)
+    return n_events / dp, n_events / dq
+
+
+def branching_mass(r_p, r_q):
+    if isinstance(r_p, (Rational, Surd)) and isinstance(r_q, (Rational, Surd)):
+        product = r_p * r_q
+        exact = product.as_fraction() if isinstance(product, Surd) else Fraction(product)
+        return collapse(sqrt_exact(exact))
+    return math.sqrt(r_p * r_q)
+
+
+def branching_transform_rates(r_p, r_q, relation):
+    boost = relation.boost()
+    if isinstance(r_p, float) or isinstance(r_q, float):
+        b = float(boost)
+        return r_p / b, r_q * b
+    return collapse(r_p / boost), collapse(r_q * boost)
+
+
+def branching_k(m, n):
+    if isinstance(m, (Rational, Surd)) and isinstance(n, (Rational, Surd)):
+        return collapse(sqrt_exact(Fraction(m) * Fraction(n)))
+    return math.sqrt(m * n)
+
+
+def bits(value):
+    """The type and exact bits of a result: float.hex for floats, repr otherwise."""
+    return type(value), value.hex() if isinstance(value, float) else repr(value)
+
+
+ints = st.integers(1, 10**6)
+floats = st.floats(1e-6, 1e6)
+fractions = st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=1000)
+positive_numbers = st.one_of(ints, floats, fractions)
+# both floats or both exact: a float beside an exact value, which the branches
+# made a float, now keeps its own type (see test_each_rate_keeps_its_own_type)
+same_kind_pairs = st.one_of(
+    st.tuples(floats, floats),
+    st.tuples(st.one_of(ints, fractions), st.one_of(ints, fractions)),
+)
+
+
+class TestAgainstTypeBranches:
+    @given(n_events=st.integers(1, 10**4), lengths=same_kind_pairs)
+    def test_rates(self, n_events, lengths):
+        assert list(map(bits, rates(n_events, *lengths))) == list(
+            map(bits, branching_rates(n_events, *lengths))
+        )
+
+    @given(r_p=positive_numbers, r_q=positive_numbers)
+    def test_mass(self, r_p, r_q):
+        assert bits(kinematic_state(r_p, r_q).mass) == bits(branching_mass(r_p, r_q))
+
+    @given(pair=same_kind_pairs, m=positive_numbers, n=positive_numbers)
+    def test_transform_rates(self, pair, m, n):
+        rel = LinearRelation(m, n)
+        assert list(map(bits, transform_rates(*pair, rel))) == list(
+            map(bits, branching_transform_rates(*pair, rel))
+        )
+
+    @given(m=positive_numbers, n=positive_numbers)
+    def test_k(self, m, n):
+        rel = LinearRelation(m, n)
+        assert bits(rel.k) == bits(branching_k(rel.m, rel.n))
 
 
 class TestEnergyMomentumTransforms:

@@ -291,6 +291,21 @@ class TestLinearRelation:
         with pytest.raises(ValueError):
             LinearRelation(-1, 2)
 
+    def test_surd_constants_boost_exactly(self):
+        rel = LinearRelation(sqrt_exact(2), 2 * sqrt_exact(2))
+        assert rel.k == 2
+        assert rel.boost() == sqrt_exact(Fraction(1, 2))
+        pair = IntervalPair(Fraction(3), Fraction(-5, 7))
+        out = pair_transform(pair, rel)
+        assert out.dp * out.dq == pair.dp * pair.dq
+
+    def test_irrational_surd_product_raises_value_error(self):
+        rel = LinearRelation(sqrt_exact(2), 1)
+        with pytest.raises(ValueError, match="irrational"):
+            rel.k
+        with pytest.raises(ValueError, match="irrational"):
+            rel.boost()
+
     @given(m=positive_rationals, n=positive_rationals)
     def test_beta_bounded_and_gamma_at_least_one(self, m, n):
         rel = LinearRelation(m, n)
