@@ -2,7 +2,8 @@
 paths and kinematics, and checkerboard kernels.
 
 All output is deterministic for fixed inputs, flags and seed.  Exit codes:
-0 success, 1 domain violation, 2 I/O or parse error, 3 resource cap exceeded.
+0 success, 1 domain violation, 2 I/O or parse error, 3 resource cap exceeded
+or out of memory.
 """
 
 from __future__ import annotations
@@ -567,6 +568,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError:  # the last resort for work that no cap bounds
+            print(f"error: {args.command} ran out of memory", file=sys.stderr)
             return 3
         except (SchemaError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

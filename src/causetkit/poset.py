@@ -4,10 +4,11 @@ Each particle is a totally ordered chain of events.  An influence edge orders
 an event on one chain before an event on another.  The union of chain-successor
 edges and influence edges, closed transitively, is the causal order.
 `build_poset` resolves each event id to an index once and builds the successor
-and predecessor lists as it checks them: one breadth-first search answers
-reachability, and two linear sweeps per chain give the projections onto it,
-cached on the poset at any size.  Posets are immutable after construction; any
-number of readers may query concurrently.
+and predecessor lists as it checks them.  Two linear sweeps per chain give the
+projections onto it, cached on the poset at any size.  x precedes y when x's
+forward projection onto y's chain sits at or before y's own, or, if y is missing
+from its chain's order, when one sweep back from y reaches x.  Posets are
+immutable after construction; any number of readers may query concurrently.
 """
 
 from __future__ import annotations
@@ -125,21 +126,19 @@ class CausalPoset:
             raise UnknownEventError(f"unknown event id: {event!r}") from None
 
     def leq(self, x: EventId, y: EventId) -> bool:
-        """True iff y is reachable from x (reflexively): one breadth-first search."""
+        """True iff y is reachable from x (reflexively).  Let y's forward
+        projection onto its chain C sit at position k.  If y is on C's order,
+        y and C[k] reach each other (they are one event, or on a cycle), so x
+        reaches y exactly when x's forward projection onto C sits at or before k;
+        if not, one sweep back from y answers.  Each chain queried caches two
+        lists of n_events entries."""
         i, j = self._idx(x), self._idx(y)
-        if i == j:
-            return True
-        seen = {i}
-        frontier = deque([i])
-        while frontier:
-            v = frontier.popleft()
-            for t in self._succ[v]:
-                if t == j:
-                    return True
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return False
+        chain = self.chain_of[y]
+        fwd = self._projection_positions(chain)[0]
+        k = fwd[j]
+        if k is not None and (self.chains[chain][k] == y or y in self.chains[chain]):
+            return fwd[i] is not None and fwd[i] <= k
+        return _first_reached([(True, j)], self._pred)[i] is not None
 
     def cycle_events(self) -> tuple[EventId, ...]:
         """Events that participate in (or depend on) a cycle; empty if acyclic."""

@@ -3,10 +3,40 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import strategies as st
 
 from causetkit import build_poset
+
+
+def bfs_reachable(events, chains, influence, x, y):
+    """Independent reachability oracle built straight from the inputs."""
+    succ = {e: [] for e, _ in events}
+    for order in chains.values():
+        for a, b in zip(order, order[1:]):
+            succ[a].append(b)
+    for a, b in influence:
+        succ[a].append(b)
+    if x == y:
+        return True
+    seen, frontier = {x}, deque([x])
+    while frontier:
+        v = frontier.popleft()
+        for t in succ[v]:
+            if t == y:
+                return True
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return False
+
+
+def poset_reachable(poset, x, y):
+    """The oracle on the events, chain orders and influence edges of a poset."""
+    events = [(e, poset.chain_of[e]) for e in poset.events]
+    return bfs_reachable(events, poset.chains, poset.influence_edges, x, y)
 
 
 def two_chain_poset():
@@ -81,6 +111,27 @@ def random_valid_poset(rng: random.Random, max_events: int = 12):
         if assignment[i] != assignment[j] and ranks[i] < ranks[j]:
             influence.append((f"e{i}", f"e{j}"))
     return build_poset(events, chains, influence)
+
+
+@st.composite
+def unruly_posets(draw):
+    """Random posets that may hold cycles, self-loops, intra-chain edges,
+    empty chains and events missing from their chain's order."""
+    n = draw(st.integers(1, 14))
+    n_chains = draw(st.integers(1, 3))
+    chain_of = draw(st.lists(st.integers(0, n_chains - 1), min_size=n, max_size=n))
+    chains = {}
+    for c in range(n_chains):
+        members = draw(st.permutations([i for i in range(n) if chain_of[i] == c]))
+        dropped = draw(st.sets(st.sampled_from(members))) if members else set()
+        chains[f"c{c}"] = [f"e{i}" for i in members if i not in dropped]
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    return build_poset(
+        [(f"e{i}", f"c{chain_of[i]}") for i in range(n)],
+        chains,
+        [(f"e{i}", f"e{j}") for i, j in edges],
+    )
 
 
 @pytest.fixture

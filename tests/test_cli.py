@@ -7,12 +7,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import causetkit
 from causetkit import ChainValuation, build_poset, quantification_rows, save_poset
 from causetkit.cli import main, rows_to_csv
 from conftest import ladder_poset
+
+SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 
 
 @pytest.fixture
@@ -391,6 +396,25 @@ class TestParticleCommand:
     def test_dp_without_dq_fails(self, capsys):
         code, _, _ = run(capsys, "particle", "--counts", "2,2", "--dp", "3")
         assert code == 1
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds allocation on Linux"
+    )
+    def test_out_of_memory_exits_three(self):
+        # The address-space limit is set in the child only.  200 MB holds the
+        # interpreter but not a tuple of 10^8 moves, so random_sequence raises
+        # MemoryError, which must end in one line and exit 3, not a traceback.
+        import resource
+
+        limit = 200 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "causetkit.cli", "particle", "--random", "100000000",
+             "0.5", "1"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: particle ran out of memory\n"
 
     def test_outdir_writes_both_artifacts(self, capsys, tmp_path):
         outdir = str(tmp_path / "artifacts")

@@ -3,9 +3,9 @@
 import io
 import json
 import random
-from collections import deque
 
 import pytest
+from hypothesis import given
 
 from causetkit import (
     CycleError,
@@ -16,34 +16,20 @@ from causetkit import (
     build_poset,
     causal_leq,
     dual,
+    forward_project,
     load_poset,
     save_poset,
     topological_order,
     validate,
 )
-from conftest import mutual_influence_poset, random_valid_poset, two_chain_poset
-
-
-def bfs_reachable(events, chains, influence, x, y):
-    """Independent reachability oracle built straight from the inputs."""
-    succ = {e: [] for e, _ in events}
-    for order in chains.values():
-        for a, b in zip(order, order[1:]):
-            succ[a].append(b)
-    for a, b in influence:
-        succ[a].append(b)
-    if x == y:
-        return True
-    seen, frontier = {x}, deque([x])
-    while frontier:
-        v = frontier.popleft()
-        for t in succ[v]:
-            if t == y:
-                return True
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return False
+from conftest import (
+    bfs_reachable,
+    mutual_influence_poset,
+    poset_reachable,
+    random_valid_poset,
+    two_chain_poset,
+    unruly_posets,
+)
 
 
 class TestBuild:
@@ -225,16 +211,63 @@ class TestCausalLeq:
         with pytest.raises(KeyError):
             causal_leq(two_chain_poset(), "pi1", "ghost")
 
+    @staticmethod
+    def assert_matches_bfs_oracle(poset, targets=None):
+        for y in poset.events if targets is None else targets:
+            for x in poset.events:
+                assert causal_leq(poset, x, y) == poset_reachable(poset, x, y), (x, y)
+
     def test_matches_bfs_oracle_on_random_posets(self):
         rng = random.Random(7)
         for _ in range(25):
-            poset = random_valid_poset(rng)
-            events = [(e, poset.chain_of[e]) for e in poset.events]
-            for x in poset.events:
-                for y in poset.events:
-                    assert causal_leq(poset, x, y) == bfs_reachable(
-                        events, poset.chains, poset.influence_edges, x, y
-                    )
+            self.assert_matches_bfs_oracle(random_valid_poset(rng))
+
+    @given(unruly_posets())
+    def test_matches_bfs_oracle_on_unruly_posets(self, poset):
+        # cycles, self-loops, empty chains and events missing from their chain's order
+        self.assert_matches_bfs_oracle(poset)
+
+    def test_target_missing_from_its_chain_order(self):
+        # m and n are declared on A but missing from its order, so a sweep back
+        # from each answers: m projects onto a1, and n reaches nothing on A
+        poset = build_poset(
+            [("a0", "A"), ("a1", "A"), ("m", "A"), ("n", "A"), ("q", "Q")],
+            {"A": ["a0", "a1"], "Q": ["q"]},
+            [("q", "m"), ("m", "a1"), ("q", "n")],
+        )
+        assert forward_project(poset, "A", "m").event == "a1"
+        assert not forward_project(poset, "A", "n").present
+        assert causal_leq(poset, "q", "m") and causal_leq(poset, "q", "n")
+        assert causal_leq(poset, "m", "m") and causal_leq(poset, "n", "n")
+        assert not causal_leq(poset, "a0", "m") and not causal_leq(poset, "a1", "m")
+        assert not causal_leq(poset, "a0", "n") and not causal_leq(poset, "m", "n")
+        self.assert_matches_bfs_oracle(poset)
+
+    def test_target_on_cycle_through_earlier_chain_element(self):
+        # b -> a closes the chain a -> b into a cycle, so b projects onto a, an
+        # earlier element of its chain that it reaches and that reaches it
+        poset = build_poset(
+            [("a", "A"), ("b", "A"), ("q0", "Q"), ("q1", "Q")],
+            {"A": ["a", "b"], "Q": ["q0", "q1"]},
+            [("b", "a"), ("q0", "b")],
+        )
+        assert forward_project(poset, "A", "b").event == "a"
+        assert causal_leq(poset, "a", "b") and causal_leq(poset, "b", "a")
+        assert causal_leq(poset, "q0", "b") and causal_leq(poset, "q0", "a")
+        assert not causal_leq(poset, "q1", "b") and not causal_leq(poset, "b", "q0")
+        self.assert_matches_bfs_oracle(poset)
+
+    def test_many_chains_cache_only_the_queried_ones(self):
+        rng = random.Random(11)
+        n_chains, length = 50, 4
+        chains = {f"c{c}": [f"c{c}e{k}" for k in range(length)] for c in range(n_chains)}
+        events = [(e, c) for c, order in chains.items() for e in order]
+        ids = [e for e, _ in events]
+        influence = [tuple(rng.sample(ids, 2)) for _ in range(150)]
+        poset = build_poset(events, chains, influence)
+        queried = ["c3", "c17", "c42"]
+        self.assert_matches_bfs_oracle(poset, [e for c in queried for e in chains[c]])
+        assert set(poset._projections) == set(queried)
 
 
 class TestOrderAxioms:

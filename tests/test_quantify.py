@@ -7,7 +7,6 @@ import sys
 import threading
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +25,6 @@ from causetkit import (
     UnquantifiableIntervalError,
     backward_project,
     build_poset,
-    causal_leq,
     chain_length,
     check_coordination,
     decompose,
@@ -43,7 +41,13 @@ from causetkit import (
     sqrt_exact,
     to_spacetime,
 )
-from conftest import ladder_poset, random_valid_poset, stretched_poset
+from conftest import (
+    ladder_poset,
+    poset_reachable,
+    random_valid_poset,
+    stretched_poset,
+    unruly_posets,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=25
@@ -53,34 +57,14 @@ positive_rationals = st.fractions(
 )
 
 
-@st.composite
-def unruly_posets(draw):
-    """Random posets that may hold cycles, self-loops, intra-chain edges,
-    empty chains and events missing from their chain's order."""
-    n = draw(st.integers(1, 14))
-    n_chains = draw(st.integers(1, 3))
-    chain_of = draw(st.lists(st.integers(0, n_chains - 1), min_size=n, max_size=n))
-    chains = {}
-    for c in range(n_chains):
-        members = draw(st.permutations([i for i in range(n) if chain_of[i] == c]))
-        dropped = draw(st.sets(st.sampled_from(members))) if members else set()
-        chains[f"c{c}"] = [f"e{i}" for i in members if i not in dropped]
-    index = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(index, index), max_size=2 * n))
-    return build_poset(
-        [(f"e{i}", f"c{chain_of[i]}") for i in range(n)],
-        chains,
-        [(f"e{i}", f"e{j}") for i, j in edges],
-    )
-
-
 def scan_projection(poset, chain_id, x, direction):
-    """Exhaustive projection oracle: test every chain element by reachability."""
+    """Exhaustive projection oracle: test every chain element by breadth-first
+    search on the poset's inputs, independent of the projections under test."""
     order = poset.chains[chain_id]
     if direction == "forward":
-        hits = [c for c in order if causal_leq(poset, x, c)]
+        hits = [c for c in order if poset_reachable(poset, x, c)]
         return hits[0] if hits else None
-    hits = [c for c in order if causal_leq(poset, c, x)]
+    hits = [c for c in order if poset_reachable(poset, c, x)]
     return hits[-1] if hits else None
 
 
@@ -513,6 +497,13 @@ class TestLorentz:
             lorentz_transform(SpacetimeInterval(1, 0), 1.0)
 
     def test_composition_matches_matrix_oracle(self):
+        # numpy missing, or built for another interpreter (an ImportError that
+        # pytest.importorskip does not skip quietly), skips this test alone
+        try:
+            import numpy as np
+        except ImportError:
+            pytest.skip("numpy is not importable")
+
         def boost_matrix(beta):
             g = 1 / math.sqrt(1 - beta * beta)
             return np.array([[g, -beta * g], [-beta * g, g]])
