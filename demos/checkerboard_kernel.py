@@ -24,8 +24,9 @@ from causetkit import (
 )
 
 pp = zero_momentum_propagators()
-print("P =\n", pp.P)
-print("Q =\n", pp.Q)
+d, r, o = pp.diagonal_entry, pp.reversal_entry, 0j
+for name, matrix in (("P", ((d, r), (o, o))), ("Q", ((o, o), (r, d)))):
+    print(f"{name} =", *(" ".join(f"{z:.4f}" for z in row) for row in matrix), sep="\n  ")
 
 # The matrices are fixed by requiring every one-step transition to happen
 # with total probability one.

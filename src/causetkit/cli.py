@@ -311,6 +311,20 @@ def _parse_random(values: list[str]) -> tuple[int, float, int]:
         ) from None
 
 
+# the most moves `particle` takes, checked before any work, as the count of
+# orderings, the sequence and the path CSV all grow with it: as processes on a
+# 2-core x86-64 VM, 100,000 moves take 0.3-0.6 s, 200,000 of --counts 0.9 s and
+# 10^6 of --random 14 s
+_PARTICLE_MOVE_CAP = 100_000
+
+
+def _check_move_count(flag: str, moves: int) -> None:
+    if moves > _PARTICLE_MOVE_CAP:
+        raise CapExceededError(
+            f"{flag} asks for more than the cap of {_PARTICLE_MOVE_CAP} moves"
+        )
+
+
 # the cells after t and x of a path CSV row, by move
 _PATH_MOVE_CELLS = {"P": "P,1,P", "Q": "Q,-1,Q"}
 
@@ -340,16 +354,19 @@ def cmd_particle(args) -> int:
     seq = None
     seed = None
     if args.sequence is not None:
+        _check_move_count("--sequence", len(args.sequence))
         seq = kin.InfluenceSequence.from_string(args.sequence, args.initial_helicity)
         counts = seq.counts()
     elif args.random is not None:
         length, prob_p, seed = _parse_random(args.random)
+        _check_move_count("--random", length)
         seq = kin.random_sequence(length, prob_p, seed)
         if args.initial_helicity:
             seq = kin.InfluenceSequence(seq.moves, args.initial_helicity)
         counts = seq.counts()
     else:
         counts = kin.UnorderedInfluenceCount(*_parse_counts(args.counts))
+        _check_move_count("--counts", counts.P + counts.Q)
 
     state: dict = {
         "counts": {"P": counts.P, "Q": counts.Q},

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+HALF = Fraction(1, 2)  # x * HALF is x / 2, but exact for an int x, where int / 2 is a float
+
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""

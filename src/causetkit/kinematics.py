@@ -13,19 +13,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_ENUMERATION_CAP, P_MOVE, Q_MOVE
 from .errors import CapExceededError
-from .exact import collapse, sqrt_exact_or_float
+from .exact import HALF, collapse, sqrt_exact_or_float
 
 if TYPE_CHECKING:  # only an annotation, so importing kinematics does not load quantify
     from .quantify import LinearRelation
 
 _MOVES = (P_MOVE, Q_MOVE)
-
-HALF = Fraction(1, 2)
 
 
 class UnorderedInfluenceCount(NamedTuple):
@@ -64,7 +62,7 @@ class InfluenceSequence:
         return "".join(self.moves)
 
     def counts(self) -> UnorderedInfluenceCount:
-        p = sum(1 for m in self.moves if m == P_MOVE)
+        p = self.moves.count(P_MOVE)
         return UnorderedInfluenceCount(p, len(self.moves) - p)
 
 
@@ -79,24 +77,21 @@ def count_orderings(counts: UnorderedInfluenceCount) -> int:
 def enumerate_orderings(
     counts: UnorderedInfluenceCount, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[InfluenceSequence]:
-    """All orderings in lexicographic order (P < Q), without duplicates."""
+    """All orderings in lexicographic order (P < Q), without duplicates: one per set
+    of P-move positions, whose lexicographic order is the strings' order."""
     total = count_orderings(counts)
     if total > cap:
         raise CapExceededError(
             f"{total} orderings exceed the enumeration cap of {cap}"
         )
     p, q = counts
-    text = P_MOVE * p + Q_MOVE * q
     out: list[InfluenceSequence] = []
-    while True:
-        out.append(InfluenceSequence(tuple(text)))
-        # the next ordering turns the last "PQ" into "Q" followed by the rest sorted
-        i = text.rfind(P_MOVE + Q_MOVE)
-        if i < 0:
-            return out
-        tail = text[i + 1 :]
-        n_p = tail.count(P_MOVE) + 1
-        text = text[:i] + Q_MOVE + P_MOVE * n_p + Q_MOVE * (len(tail) - n_p)
+    for positions in combinations(range(p + q), p):
+        moves = [Q_MOVE] * (p + q)
+        for i in positions:
+            moves[i] = P_MOVE
+        out.append(InfluenceSequence(tuple(moves)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .errors import (
     UnknownEventError,
     UnquantifiableIntervalError,
 )
-from .exact import Surd, collapse, sqrt_exact, sqrt_exact_or_float
+from .exact import HALF, Surd, collapse, sqrt_exact, sqrt_exact_or_float
 from .poset import CausalPoset, EventId
 
 MODE_SINGLE_CHAIN = "single-chain"
@@ -106,19 +106,13 @@ class IntervalPair:
 
     In single-chain mode the components are the forward and backward
     projections onto one chain; in coordinated mode they are forward
-    projections onto each of two coordinated chains.
+    projections onto each of two coordinated chains.  Components are kept as
+    given; halving multiplies by HALF, so int and Fraction halves are exact.
     """
 
     dp: object
     dq: object
     mode: str = MODE_COORDINATED
-
-    def __post_init__(self):
-        # integer components promote to fractions so halving stays exact
-        if isinstance(self.dp, int):
-            object.__setattr__(self, "dp", Fraction(self.dp))
-        if isinstance(self.dq, int):
-            object.__setattr__(self, "dq", Fraction(self.dq))
 
 
 def interval_pair(
@@ -291,13 +285,13 @@ def _require_coordinated(pair: IntervalPair, op: str):
 def length(pair: IntervalPair):
     """(dp + dq)/2: the time-like component shared by coordinated observers."""
     _require_coordinated(pair, "length")
-    return (pair.dp + pair.dq) / 2
+    return (pair.dp + pair.dq) * HALF
 
 
 def distance(pair: IntervalPair):
     """(dp - dq)/2: separation of coordinated chains, independent of the endpoints chosen."""
     _require_coordinated(pair, "distance")
-    return (pair.dp - pair.dq) / 2
+    return (pair.dp - pair.dq) * HALF
 
 
 def decompose(pair: IntervalPair) -> tuple[IntervalPair, IntervalPair]:
@@ -305,12 +299,8 @@ def decompose(pair: IntervalPair) -> tuple[IntervalPair, IntervalPair]:
 
     The metric identity dp*dq = dt^2 - dx^2 holds exactly.
     """
-    dt = (pair.dp + pair.dq) / 2
-    dx = (pair.dp - pair.dq) / 2
-    return (
-        IntervalPair(dt, dt, pair.mode),
-        IntervalPair(dx, -dx, pair.mode),
-    )
+    st = to_spacetime(pair)
+    return IntervalPair(st.dt, st.dt, pair.mode), IntervalPair(st.dx, -st.dx, pair.mode)
 
 
 @dataclass(frozen=True)
@@ -322,7 +312,7 @@ class SpacetimeInterval:
 
 
 def to_spacetime(pair: IntervalPair) -> SpacetimeInterval:
-    return SpacetimeInterval((pair.dp + pair.dq) / 2, (pair.dp - pair.dq) / 2)
+    return SpacetimeInterval((pair.dp + pair.dq) * HALF, (pair.dp - pair.dq) * HALF)
 
 
 def from_spacetime(st: SpacetimeInterval, mode: str = MODE_COORDINATED) -> IntervalPair:

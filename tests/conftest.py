@@ -39,6 +39,11 @@ def poset_reachable(poset, x, y):
     return bfs_reachable(events, poset.chains, poset.influence_edges, x, y)
 
 
+def bits(value):
+    """The type and exact bits of a result: float.hex for floats, repr otherwise."""
+    return type(value), value.hex() if isinstance(value, float) else repr(value)
+
+
 def two_chain_poset():
     """Two 3-event chains with one influence edge pi2 -> p1."""
     return build_poset(

@@ -193,6 +193,37 @@ class TestValidateCommand:
         assert code == 2
         assert "malformed poset document" in err
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds allocation on Linux"
+    )
+    def test_out_of_memory_exits_three(self, tmp_path):
+        # The address-space limit is set in the child only.  200 MB holds the
+        # interpreter and a 100,000-event ladder, but not this 400,000-event
+        # one, and no cap bounds a document's size.  So loading or building it
+        # raises MemoryError, which must end in one line and exit 3.
+        n = 200_000
+        # the document's text is built directly, which keeps this process small
+        events = ", ".join(f'{{"id": "{c}{i}", "chain": "{c}"}}' for c in "PQ" for i in range(n))
+        chains = ", ".join(f'"{c}": [' + ", ".join(f'"{c}{i}"' for i in range(n)) + "]"
+                           for c in "PQ")
+        influence = ", ".join(f'["{a}{i}", "{b}{i + 2}"]'
+                              for i in range(n - 2) for a, b in ("PQ", "QP"))
+        path = tmp_path / "ladder.json"
+        path.write_text(
+            f'{{"version": 1, "events": [{events}], "chains": {{{chains}}}, '
+            f'"influence": [{influence}]}}'
+        )
+        import resource
+
+        limit = 200 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "causetkit.cli", "validate", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: validate ran out of memory\n"
+
 
 class TestQuantifyCommand:
     def test_coordinated_table(self, capsys, ladder_file):
@@ -397,24 +428,33 @@ class TestParticleCommand:
         code, _, _ = run(capsys, "particle", "--counts", "2,2", "--dp", "3")
         assert code == 1
 
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds allocation on Linux"
-    )
-    def test_out_of_memory_exits_three(self):
-        # The address-space limit is set in the child only.  200 MB holds the
-        # interpreter but not a tuple of 10^8 moves, so random_sequence raises
-        # MemoryError, which must end in one line and exit 3, not a traceback.
-        import resource
+    @pytest.mark.parametrize("flag, at_cap, past_cap, emit", [
+        ("--counts", ["99999,1"], ["50001,50000"], "json"),
+        ("--counts", ["0,100000"], ["100001,0"], "json"),
+        ("--random", ["100000", "0.5", "1"], ["100001", "0.5", "1"], "csv"),
+        # 10^8 moves ran out of memory in random_sequence before the cap
+        ("--random", ["100000", "0.5", "1"], ["100000000", "0.5", "1"], "json"),
+        ("--sequence", ["PQ" * 50000], ["PQ" * 50000 + "P"], "csv"),
+        ("--sequence", ["PQ" * 50000], ["PQ" * 50000 + "P"], "json"),
+    ])
+    def test_move_cap_both_sides(self, capsys, monkeypatch, flag, at_cap, past_cap, emit):
+        code, out, err = run(capsys, "particle", flag, *at_cap, "--emit", emit)
+        assert (code, err) == (0, "")
+        # a header, the origin and one row per move, or one JSON line
+        assert out.count("\n") == (100_002 if emit == "csv" else 1)
 
-        limit = 200 * 2**20
-        proc = subprocess.run(
-            [sys.executable, "-m", "causetkit.cli", "particle", "--random", "100000000",
-             "0.5", "1"],
-            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == "error: particle ran out of memory\n"
+        # past the cap the command exits before it builds a sequence or counts orderings
+        def no_work(*args):
+            raise AssertionError("particle did work past the move cap")
+
+        from causetkit import kinematics
+
+        monkeypatch.setattr(kinematics, "random_sequence", no_work)
+        monkeypatch.setattr(kinematics, "count_orderings", no_work)
+        monkeypatch.setattr(kinematics.InfluenceSequence, "from_string", no_work)
+        code, out, err = run(capsys, "particle", flag, *past_cap, "--emit", emit)
+        assert (code, out) == (3, "")
+        assert err == f"error: {flag} asks for more than the cap of 100000 moves\n"
 
     def test_outdir_writes_both_artifacts(self, capsys, tmp_path):
         outdir = str(tmp_path / "artifacts")

@@ -20,7 +20,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 
 GOLDEN = {
-    "checkerboard_kernel.py": "9761a93522763aa44facae1f73c0bc9d53558fed08a32c3db7b1f982ad324b01",
+    "checkerboard_kernel.py": "56c43e74e1baa309e981a3e4071177a930e6cc0adb16ef828bf962c9da9d0ebc",
     "emergent_spacetime.py": "59de536c66d4204f89fb6ecc673aa1defb5236ce1199ead90ba5c9960d61254b",
     "poset_basics.py": "d8689ebf4eb30281128d5bc221aa3205f72c525c9be4a7a8405c8e3d00b3e2b2",
     "zigzag_kinematics.py": "443ab49104862214ce3d02b060ca19a37b60f082f1ab6d54b35d9c7b187ca98e",

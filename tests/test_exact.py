@@ -170,3 +170,9 @@ def test_equal_numbers_hash_alike_and_order_exactly(value, kinds):
     if a == a and b == b:  # no NaN: exactly one order holds, as for int and Fraction
         assert [a < b, a == b, a > b].count(True) == 1
         assert (a <= b) == (a < b or a == b) and (a >= b) == (a > b or a == b)
+
+
+def test_half_is_defined_once_in_exact():
+    from causetkit import exact, kinematics, quantify
+
+    assert kinematics.HALF is quantify.HALF is exact.HALF == Fraction(1, 2)

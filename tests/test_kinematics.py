@@ -25,6 +25,7 @@ from causetkit import (
     transform_rates,
 )
 from causetkit.exact import Surd, collapse, sqrt_exact
+from conftest import bits
 
 positive_rates = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(40), max_denominator=30
@@ -83,6 +84,13 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_orderings(UnorderedInfluenceCount(2, 2), cap=5)
 
+    @pytest.mark.parametrize("p", range(8))
+    @pytest.mark.parametrize("q", range(8))
+    def test_matches_next_permutation_oracle(self, p, q):
+        expected = next_permutation_orderings(p, q)
+        assert [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(p, q))] == expected
+        assert len(expected) == math.comb(p + q, p)
+
     def test_orderings_longer_than_the_recursion_limit(self):
         # 2,000 moves: deeper than the interpreter's default recursion limit of 1,000
         assert [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(2000, 0))] == [
@@ -90,6 +98,22 @@ class TestEnumeration:
         ]
         got = [str(s) for s in enumerate_orderings(UnorderedInfluenceCount(1, 1999))]
         assert got == ["Q" * i + "P" + "Q" * (1999 - i) for i in range(2000)]
+
+
+def next_permutation_orderings(p, q):
+    """The hand-written next-permutation that itertools.combinations replaced,
+    kept as an oracle: the next ordering turns the last "PQ" into "Q" followed
+    by the rest sorted."""
+    text = "P" * p + "Q" * q
+    out = []
+    while True:
+        out.append(text)
+        i = text.rfind("PQ")
+        if i < 0:
+            return out
+        tail = text[i + 1 :]
+        n_p = tail.count("P") + 1
+        text = text[:i] + "Q" + "P" * n_p + "Q" * (len(tail) - n_p)
 
 
 class TestPaths:
@@ -261,11 +285,6 @@ def branching_k(m, n):
     if isinstance(m, (Rational, Surd)) and isinstance(n, (Rational, Surd)):
         return collapse(sqrt_exact(Fraction(m) * Fraction(n)))
     return math.sqrt(m * n)
-
-
-def bits(value):
-    """The type and exact bits of a result: float.hex for floats, repr otherwise."""
-    return type(value), value.hex() if isinstance(value, float) else repr(value)
 
 
 ints = st.integers(1, 10**6)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from causetkit import (
     ANTICHAIN_LIKE,
+    Surd,
     CHAIN_LIKE,
     PROJECTION_LIKE,
     MODE_SINGLE_CHAIN,
@@ -38,10 +39,12 @@ from causetkit import (
     metric_scalar,
     pair_transform,
     quantification_rows,
+    collapse,
     sqrt_exact,
     to_spacetime,
 )
 from conftest import (
+    bits,
     ladder_poset,
     poset_reachable,
     random_valid_poset,
@@ -478,6 +481,59 @@ class TestSpacetime:
         pair = IntervalPair(dp, dq)
         back = from_spacetime(to_spacetime(pair))
         assert (back.dp, back.dq) == (dp, dq)
+
+
+def promoted(c):
+    """IntervalPair's former int promotion, kept with its division by 2 as the
+    oracle of the halvings that now multiply by HALF."""
+    return Fraction(c) if isinstance(c, int) else c
+
+
+@st.composite
+def mixed_components(draw):
+    """Two components, each an int, Fraction, finite float or Surd.  The Surds
+    share one radicand, and an irrational one meets only Surds and floats, so
+    that the sum and difference exist."""
+    radicand = draw(st.sampled_from([1, 2, 3, Fraction(5, 7)]))
+    kinds = [
+        st.floats(allow_nan=False, allow_infinity=False),
+        rationals.map(lambda q: Surd(q, radicand)),
+    ]
+    if radicand == 1:
+        kinds += [st.integers(-10**20, 10**20), rationals]
+    return draw(st.one_of(kinds)), draw(st.one_of(kinds))
+
+
+class TestAgainstIntPromotion:
+    @given(components=mixed_components())
+    @example(components=(3, 0))
+    @example(components=(5e-324, 5e-324))
+    def test_halvings(self, components):
+        dp, dq = map(promoted, components)
+        dt, dx = (dp + dq) / 2, (dp - dq) / 2
+        pair = IntervalPair(*components)
+        st_interval = to_spacetime(pair)
+        sym, antisym = decompose(pair)
+        got = [length(pair), distance(pair), st_interval.dt, st_interval.dx,
+               sym.dp, sym.dq, antisym.dp, antisym.dq]
+        assert list(map(bits, got)) == list(map(bits, [dt, dx, dt, dx, dt, dt, dx, -dx]))
+
+    @given(components=mixed_components(), m=positive_rationals, n=positive_rationals)
+    @example(components=(3, -1), m=Fraction(4), n=Fraction(1))
+    def test_pair_transform(self, components, m, n):
+        relation = LinearRelation(m, n)
+        dp, dq = map(promoted, components)
+        boost = relation.boost()
+        out = pair_transform(IntervalPair(*components), relation)
+        expected = [collapse(dp * boost), collapse(dq / boost)]
+        assert list(map(bits, [out.dp, out.dq])) == list(map(bits, expected))
+
+    @given(components=mixed_components())
+    def test_interval_scalar(self, components):
+        dp, dq = map(promoted, components)
+        scalar = interval_scalar(IntervalPair(*components))
+        assert scalar.value == dp * dq
+        assert scalar.kind == interval_scalar(IntervalPair(dp, dq)).kind
 
 
 class TestLorentz:
