@@ -54,7 +54,11 @@ left = kernel_pathsum(T, pp, "P")
 right = kernel_matrix(T, pp, "P")
 print(f"\nkernel depth {T}: {len(left)} endpoint cells,",
       f"max method discrepancy {kernel_discrepancy(left, right):.2e}")
-print("total probability:", sum(born(v) for v in right.values()))
+# added left to right: sum() compensates float rounding from Python 3.12 on
+total = 0.0
+for amp in right.values():
+    total += born(amp)
+print("total probability:", total)
 
 print("\nprobability by position (helicities summed), t =", T)
 probs: dict[int, float] = {}

@@ -184,8 +184,8 @@ def kinematic_state(r_p, r_q) -> KinematicState:
     rate is a float, and an irrational surd product raises ValueError."""
     if r_p <= 0 or r_q <= 0:
         raise ValueError("rates must be positive")
-    energy = (r_p + r_q) / 2
-    momentum = (r_q - r_p) / 2
+    energy = (r_p + r_q) * HALF
+    momentum = (r_q - r_p) * HALF
     mass = sqrt_exact_or_float(r_p * r_q)
     return KinematicState(r_p, r_q, mass, energy, momentum, momentum / energy)
 

@@ -157,10 +157,10 @@ def test_criterion_05_propagator_constraints():
         assert pp.a == pp.b == math.sqrt(0.5)
         assert pp.phase_alpha == 0.0
         assert pp.phase_beta == math.pi / 2
-        assert pp.P[0, 0] == complex(math.sqrt(0.5), 0)
-        assert pp.P[0, 1] == complex(0, math.sqrt(0.5))
-        assert pp.Q[1, 0] == complex(0, math.sqrt(0.5))
-        assert pp.Q[1, 1] == complex(math.sqrt(0.5), 0)
+        # the entries of P = [[d, r], [0, 0]] and Q = [[0, 0], [r, d]], read
+        # without numpy; test_checkerboard.py checks the arrays themselves
+        assert pp.diagonal_entry == complex(math.sqrt(0.5), 0)
+        assert pp.reversal_entry == complex(0, math.sqrt(0.5))
 
     _run(5, "conservation constraints across the angle grid, exact symmetric case", body)
 

@@ -213,6 +213,13 @@ class TestKinematicState:
         state = kinematic_state(Fraction(1), Fraction(3))
         assert state.beta == Fraction(1, 2)
 
+    def test_int_rates_stay_exact(self):
+        state = kinematic_state(2, 5)
+        assert list(map(bits, [state.energy, state.momentum, state.beta])) == list(
+            map(bits, [Fraction(7, 2), Fraction(3, 2), Fraction(3, 7)])
+        )
+        assert state.mass == Surd(1, radicand=10)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             kinematic_state(0, 2)
@@ -291,6 +298,8 @@ ints = st.integers(1, 10**6)
 floats = st.floats(1e-6, 1e6)
 fractions = st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=1000)
 positive_numbers = st.one_of(ints, floats, fractions)
+# surds on one radicand, so that two of them add to a surd
+surds = st.builds(Surd, fractions, st.just(2))
 # both floats or both exact: a float beside an exact value, which the branches
 # made a float, now keeps its own type (see test_each_rate_keeps_its_own_type)
 same_kind_pairs = st.one_of(
@@ -309,6 +318,18 @@ class TestAgainstTypeBranches:
     @given(r_p=positive_numbers, r_q=positive_numbers)
     def test_mass(self, r_p, r_q):
         assert bits(kinematic_state(r_p, r_q).mass) == bits(branching_mass(r_p, r_q))
+
+    @given(pair=st.one_of(
+        st.tuples(floats, st.one_of(floats, fractions, surds)),
+        st.tuples(fractions, fractions),
+        st.tuples(surds, surds),
+    ))
+    def test_energy_and_momentum_halve_as_division_did(self, pair):
+        r_p, r_q = pair
+        state = kinematic_state(r_p, r_q)
+        assert list(map(bits, [state.energy, state.momentum])) == list(
+            map(bits, [(r_p + r_q) / 2, (r_q - r_p) / 2])
+        )
 
     @given(pair=same_kind_pairs, m=positive_numbers, n=positive_numbers)
     def test_transform_rates(self, pair, m, n):
