@@ -21,8 +21,6 @@ from .errors import CapExceededError, CausetkitError, SchemaError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_TOLERANCE = 1e-12
-
 _PARTICLE_NOTES = (
     "Conventions: a P-move steps +1/2 in x with segment beta = +1, a Q-move "
     "steps -1/2 with beta = -1.  Momentum is p = (rQ - rP)/2, so a particle "
@@ -43,8 +41,6 @@ _CHECKERBOARD_NOTES = (
 
 def format_number(value) -> str:
     """Fixed 17-significant-digit float formatting for golden-file stability."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         try:
             return str(value)
@@ -91,15 +87,11 @@ def _write_json(obj, pieces: list[str]) -> None:
             _write_json(item, pieces)
         pieces.append("]")
     else:
-        # quantify writes its --mu as a Fraction and no command writes a Surd:
-        # the Fraction test comes first, so exact loads only for a Surd
+        # the one other value a command writes: quantify's --mu
         from fractions import Fraction
 
         if not isinstance(obj, Fraction):
-            from .exact import Surd
-
-            if not isinstance(obj, Surd):
-                raise TypeError(f"cannot serialize {type(obj).__name__}")
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
         pieces.append(format_number(obj))
 
 
@@ -190,13 +182,14 @@ def _deliver(args, artifacts: dict[str, Iterable[str]], primary: str) -> None:
         sys.stdout.writelines(artifacts[primary])
 
 
-def _json_document(doc: dict, row_groups: Iterable[list[str]]) -> Iterator[str]:
-    """canonical_json(doc) + "\n" in chunks, doc["rows"] being the JSON rows of
-    `row_groups`, one chunk per list; only the first list may be empty.  The
-    document and the first list are formatted now, so errors precede output.
+def _json_document(doc: dict, groups: Iterable[str]) -> Iterator[str]:
+    """canonical_json(doc) + "\n" in chunks, doc["rows"] being the JSON rows
+    that `groups` holds as texts of rows joined by ", ", one chunk per text;
+    only the first text may be empty.  The document and the first text are
+    formatted now, so errors precede output.
     """
     head, _, tail = canonical_json({**doc, "rows": []}).partition('"rows": []')
-    groups = map(", ".join, row_groups)
+    groups = iter(groups)
     first = head + '"rows": [' + next(groups, "")
     return itertools.chain([first], (", " + group for group in groups), ["]" + tail + "\n"])
 
@@ -251,11 +244,11 @@ def _quantify_columns(poset, chain: str, chain2: str | None, mu: Fraction, absen
     Fraction s*mu/2, because int/int division rounds correctly.  A missing
     projection gives `absent`.
     """
-    p_fwd, p_bwd = poset._projection_positions(chain)
+    p_fwd, p_bwd = (poset._projection_positions(chain, side) for side in (0, 1))
     q_fwd = q_bwd = [None] * poset.n_events
     n_p, n_q = len(poset.chains[chain]), 0
     if chain2 is not None:
-        q_fwd, q_bwd = poset._projection_positions(chain2)
+        q_fwd, q_bwd = (poset._projection_positions(chain2, side) for side in (0, 1))
         n_q = len(poset.chains[chain2])
     # each s that can occur and none larger than the largest that does, so
     # mu overflows a float here only if it overflows in a printed cell
@@ -286,7 +279,7 @@ def cmd_quantify(args) -> int:
         ids = map(encode_basestring, poset.events)
         rows = map(_QUANTIFY_JSON_ROW.__mod__, zip(ids, p_bwd, p_fwd, q_bwd, q_fwd, t, x))
         doc = {"chain": args.chain, "chain2": args.chain2, "mu": mu}
-        chunks = _json_document(doc, [list(rows)])
+        chunks = _json_document(doc, [", ".join(rows)])
     else:
         lines = [_QUANTIFY_COLUMNS, *zip(map(_csv_cell, poset.events), *columns)]
         chunks = ["\n".join(map(",".join, lines)) + "\n"]
@@ -454,12 +447,10 @@ def cmd_checkerboard(args) -> int:
         if args.emit != "json":  # JSON carries it in the document
             print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 
-    if args.method == "matrix" and args.emit != "svg" and _fork_pays(row_bound):
-        rows = _forked_kernel_rows(fields, args.emit)
-    else:
-        rows = _kernel_rows(slices, args.emit)
-
     primary = f"checkerboard.{args.emit}"
+    texts = (_slice_text(t, cols, args.emit) for t, cols in slices)
+    if args.method == "matrix" and args.emit != "svg" and _fork_pays(row_bound):
+        texts = _forked_slice_texts(fields, args.emit, texts)
     if args.emit == "svg":
         chunks = probability_svg(slices)
     elif args.emit == "json":
@@ -469,28 +460,26 @@ def cmd_checkerboard(args) -> int:
             "b": pp.b,
             "initial_helicity": args.initial,
             "method": args.method,
-            "tolerance": _TOLERANCE,
+            "tolerance": cb._TOL,
         }
         if discrepancy is not None:
             doc["max_discrepancy"] = discrepancy
-        chunks = _json_document(doc, rows)
+        chunks = _json_document(doc, texts)
     else:
-        header = ["t,x,helicity,amp_re,amp_im,probability\n"]
-        chunks = itertools.chain(header, map("".join, rows))
+        chunks = itertools.chain(["t,x,helicity,amp_re,amp_im,probability\n"], texts)
     _deliver(args, {primary: chunks}, primary)
     return 0
 
 
-def _kernel_rows(slices, emit: str) -> Iterator[list[str]]:
-    """Each (step, KernelColumns) slice as a list of CSV or JSON rows."""
-    for step, cols in slices:
-        t, x, helicity = itertools.repeat(step), cols.positions, cols.helicities
-        re, im = [a.real for a in cols.amplitudes], [a.imag for a in cols.amplitudes]
-        probability = cols.probabilities
-        if emit == "json":
-            yield list(map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x)))
-        else:
-            yield list(map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability)))
+def _slice_text(step: int, cols, emit: str) -> str:
+    """A (step, KernelColumns) slice's CSV rows concatenated, or its JSON rows
+    joined by ", "."""
+    t, x, helicity = itertools.repeat(step), cols.positions, cols.helicities
+    re, im = [a.real for a in cols.amplitudes], [a.imag for a in cols.amplitudes]
+    probability = cols.probabilities
+    if emit == "json":
+        return ", ".join(map(_KERNEL_JSON_ROW.__mod__, zip(im, re, helicity, probability, t, x)))
+    return "".join(map(_KERNEL_CSV_ROW.__mod__, zip(t, x, helicity, re, im, probability)))
 
 
 # the row bound from which `checkerboard --method matrix` formats CSV and JSON
@@ -515,9 +504,10 @@ def _fork_pays(row_bound: int) -> bool:
     return cpus > 1 and threading.active_count() == 1
 
 
-def _forked_kernel_rows(fields, emit: str) -> Iterator[list[str]]:
-    """What `_kernel_rows` gives for the stepped `fields`, the odd slices
-    formatted by a forked child.
+def _forked_slice_texts(fields, emit: str, texts: Iterator[str]) -> Iterator[str]:
+    """The `_slice_text` of each of the stepped `fields`, the odd slices
+    formatted by a forked child; `texts`, the same texts made here, if no
+    process can be forked.
 
     Both processes step every field, which costs little beside formatting.
     The child writes each odd slice to a pipe as an 8-byte length and its
@@ -538,7 +528,7 @@ def _forked_kernel_rows(fields, emit: str) -> Iterator[list[str]]:
     except OSError:  # no process to spare: format every slice here
         os.close(read_fd)
         os.close(write_fd)
-        yield from _kernel_rows(enumerate(map(KernelColumns.from_field, fields)), emit)
+        yield from texts
         return
     if pid == 0:
         _write_odd_slices(fields, emit, read_fd, write_fd, cpus)  # never returns
@@ -549,14 +539,14 @@ def _forked_kernel_rows(fields, emit: str) -> Iterator[list[str]]:
         with open(read_fd, "rb") as pipe:
             for step, field in enumerate(fields):
                 if step % 2 == 0:
-                    yield from _kernel_rows([(step, KernelColumns.from_field(field))], emit)
+                    yield _slice_text(step, KernelColumns.from_field(field), emit)
                     continue
                 text = _read_slice(pipe)
                 if text is None:
                     child, pid = pid, None
                     _reap(child)
                     raise OSError(f"the process formatting odd slices ended before slice {step}")
-                yield [text]
+                yield text
                 del text  # freed before the next field is stepped
         child, pid = pid, None
         _reap(child)
@@ -595,13 +585,9 @@ def _write_odd_slices(fields, emit: str, read_fd: int, write_fd: int, cpus):
             os.sched_setaffinity(0, {max(cpus)})
         from .checkerboard import KernelColumns
 
-        odd = ((t, KernelColumns.from_field(f)) for t, f in enumerate(fields) if t % 2)
-        # the text a slice's rows make once joined as `_json_document` and
-        # the CSV writer join them
-        separator = ", " if emit == "json" else ""
         with open(write_fd, "wb") as pipe:
-            for rows in _kernel_rows(odd, emit):
-                text = separator.join(rows).encode()
+            for t, field in itertools.islice(enumerate(fields), 1, None, 2):
+                text = _slice_text(t, KernelColumns.from_field(field), emit).encode()
                 pipe.write(len(text).to_bytes(8, "little"))
                 pipe.write(text)
                 pipe.flush()

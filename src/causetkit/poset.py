@@ -67,7 +67,7 @@ class CausalPoset:
         self._succ: list[list[int]] = succ
         self._pred: list[list[int]] = pred
         self._topo = self._topological_order()
-        self._projections: dict[str, tuple[list, list]] = {}
+        self._projections: dict[str, list] = {}
 
     # -- derived structure -------------------------------------------------
 
@@ -85,21 +85,22 @@ class CausalPoset:
                     ready.append(t)
         return tuple(order)
 
-    def _projection_positions(self, chain_id: str) -> tuple[list, list]:
-        """Per event index, the chain positions of its forward projection (the
-        first element at-or-above it) and backward projection (the last
-        element at-or-below it); None where no element qualifies."""
+    def _projection_positions(self, chain_id: str, side: int) -> list:
+        """Per event index, the chain position of its forward projection (side
+        0: the first element at-or-above it) or backward projection (side 1:
+        the last element at-or-below it); None where no element qualifies."""
         if chain_id not in self.chains:
             raise UnknownEventError(f"unknown chain id: {chain_id!r}")
-        # filling the cache is idempotent, so concurrent readers need no lock
-        cached = self._projections.get(chain_id)
-        if cached is None:
+        # each side is swept when first asked for; filling the cache is
+        # idempotent, so concurrent readers need no lock
+        cached = self._projections.setdefault(chain_id, [None, None])
+        if cached[side] is None:
             targets = [(k, self._index[e]) for k, e in enumerate(self.chains[chain_id])]
-            cached = self._projections[chain_id] = (
-                _first_reached(targets, self._pred),
-                _first_reached(targets[::-1], self._succ),
-            )
-        return cached
+            if side:
+                cached[1] = _first_reached(targets[::-1], self._succ)
+            else:
+                cached[0] = _first_reached(targets, self._pred)
+        return cached[side]
 
     # -- queries -------------------------------------------------------------
 
@@ -130,11 +131,11 @@ class CausalPoset:
         projection onto its chain C sit at position k.  If y is on C's order,
         y and C[k] reach each other (they are one event, or on a cycle), so x
         reaches y exactly when x's forward projection onto C sits at or before k;
-        if not, one sweep back from y answers.  Each chain queried caches two
-        lists of n_events entries."""
+        if not, one sweep back from y answers.  Each chain queried caches one
+        list of n_events entries."""
         i, j = self._idx(x), self._idx(y)
         chain = self.chain_of[y]
-        fwd = self._projection_positions(chain)[0]
+        fwd = self._projection_positions(chain, 0)
         k = fwd[j]
         if k is not None and (self.chains[chain][k] == y or y in self.chains[chain]):
             return fwd[i] is not None and fwd[i] <= k

@@ -86,7 +86,7 @@ ABSENT = Projection(None)
 
 
 def _project(poset: CausalPoset, chain_id: str, x: EventId, side: int) -> Projection:
-    k = poset._projection_positions(chain_id)[side][poset._idx(x)]
+    k = poset._projection_positions(chain_id, side)[poset._idx(x)]
     return ABSENT if k is None else Projection(poset.chains[chain_id][k])
 
 
@@ -351,10 +351,8 @@ def quantification_rows(
 
     def values(valuation: ChainValuation) -> list[list]:
         order = poset.chains[valuation.chain_id]
-        return [
-            [None if k is None else valuation.value(order[k]) for k in positions]
-            for positions in poset._projection_positions(valuation.chain_id)
-        ]
+        sides = (poset._projection_positions(valuation.chain_id, side) for side in (0, 1))
+        return [[None if k is None else valuation.value(order[k]) for k in ks] for ks in sides]
 
     p_fwd, p_bwd = values(valuation_p)
     q_fwd = q_bwd = [None] * poset.n_events

@@ -5,7 +5,9 @@ and the parent the even ones.  The output must be the bytes of the one-process
 writer, no child or pipe end may outlive the command, and a child that fails
 must end the command with one `error:` line and a documented exit code.  Most
 cases lower the bound so that small lattices fork, and a bound of 10**18 gives
-the one-process bytes they are compared with.
+the one-process bytes they are compared with.  Both writers are also checked
+against the general path: row dicts serialised by `rows_to_csv` or
+`canonical_json`.
 """
 
 import contextlib
@@ -23,9 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causetkit
+from causetkit import checkerboard as cb
 from causetkit import cli
 from causetkit.checkerboard import KernelColumns
-from causetkit.cli import main
+from causetkit.cli import canonical_json, format_number, main, rows_to_csv
 
 SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 ONE_PROCESS = 10**18
@@ -113,6 +116,62 @@ def test_forked_bytes_equal_one_process(tmp_path_factory, steps, flags, initial,
         with counted_forks() as forks:
             assert run(argv, LOW_BOUND, outdir) == expected
         assert len(forks) == 1
+    assert_nothing_left(state)
+
+
+KERNEL_COLUMNS = ["t", "x", "helicity", "amp_re", "amp_im", "probability"]
+
+
+def propagator_pair(flags):
+    if not flags:
+        return cb.zero_momentum_propagators()
+    if flags[0] == "--theta":
+        return cb.propagators_from_theta(float(flags[1]))
+    return cb.propagators_from_mass(float(flags[1]), float(flags[3]))
+
+
+def reference_checkerboard(steps, flags, initial, method, emit):
+    """`checkerboard` output and stderr the general way: one row dict per
+    kernel entry, from kernel_history or kernel_pathsum, serialised by
+    rows_to_csv or canonical_json."""
+    pp = propagator_pair(flags)
+    if method == "pathsum":
+        slices = [(steps, KernelColumns.from_kernel(cb.kernel_pathsum(steps, pp, initial)))]
+    else:
+        slices = list(enumerate(cb.kernel_history(steps, pp, initial)))
+    rows = [
+        {"t": t, "x": x, "helicity": h, "amp_re": a.real, "amp_im": a.imag,
+         "probability": cb.born(a)}
+        for t, cols in slices
+        for x, h, a in zip(cols.positions, cols.helicities, cols.amplitudes)
+    ]
+    doc = {"steps": steps, "a": pp.a, "b": pp.b, "initial_helicity": initial,
+           "method": method, "tolerance": 1e-12, "rows": rows}
+    err = ""
+    if method == "both":
+        pathsum = cb.kernel_pathsum(steps, pp, initial)
+        doc["max_discrepancy"] = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
+        if emit == "csv":
+            err = f"max_discrepancy {format_number(doc['max_discrepancy'])}\n"
+    if emit == "csv":
+        return rows_to_csv(rows, KERNEL_COLUMNS), err
+    return canonical_json(doc) + "\n", err
+
+
+@needs_fork
+@settings(max_examples=80, deadline=None)
+@given(steps=st.integers(0, 16), method=st.sampled_from(["matrix", "pathsum", "both"]),
+       flags=propagators, initial=st.sampled_from("PQ"), emit=st.sampled_from(["csv", "json"]))
+def test_both_writers_match_the_row_dicts(steps, method, flags, initial, emit):
+    out, err = reference_checkerboard(steps, flags, initial, method, emit)
+    argv = ["--steps", str(steps), "--method", method, *flags, "--initial", initial,
+            "--emit", emit]
+    state = process_state()
+    # a bound of 2 rows forks at every matrix depth, the default at none of these
+    for bound, forks in [(2, int(method == "matrix")), (cli._FORK_ROW_BOUND, 0)]:
+        with counted_forks() as calls:
+            assert run(argv, bound) == (0, out, err)
+        assert len(calls) == forks
     assert_nothing_left(state)
 
 

@@ -300,25 +300,30 @@ class TestLoadPerCommand:
 
 class TestCanonicalJson:
     def test_surd_and_unserialisable_values_in_a_fresh_process(self):
-        # the rejections come first, while the process has not loaded exact
+        # no command writes a Surd, so it is rejected like any other type, and
+        # serialising never loads exact; quantify's Fraction --mu is written
         script = (
-            "import json\n"
+            "import json, sys\n"
             "from fractions import Fraction\n"
             "from causetkit.cli import canonical_json\n"
+            "print(canonical_json({'mu': Fraction(3, 7), 'ok': True}))\n"
             "errors = []\n"
-            "for bad in (1j, object()):\n"
+            "def reject(bad):\n"
             "    try:\n"
             "        canonical_json({'a': [bad]})\n"
             "    except TypeError as exc:\n"
             "        errors.append(str(exc))\n"
+            "reject(1j)\n"
+            "reject(object())\n"
+            "print('causetkit.exact' in sys.modules)\n"
             "from causetkit.exact import sqrt_exact\n"
-            "doc = {'s': sqrt_exact(8), 'l': [sqrt_exact(Fraction(1, 3)), sqrt_exact(4)]}\n"
+            "reject(sqrt_exact(8))\n"
             "print(json.dumps(errors))\n"
-            "print(canonical_json(doc))\n"
         )
         assert run_python("-c", script).splitlines() == [
-            '["cannot serialize complex", "cannot serialize object"]',
-            '{"l": [0.57735026918962573, 2], "s": 2.8284271247461903}',
+            '{"mu": 0.42857142857142855, "ok": true}',
+            "False",
+            '["cannot serialize complex", "cannot serialize object", "cannot serialize Surd"]',
         ]
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from causetkit import (
     topological_order,
     validate,
 )
+from causetkit import poset as poset_module
 from conftest import (
     bfs_reachable,
     mutual_influence_poset,
@@ -268,6 +270,14 @@ class TestCausalLeq:
         queried = ["c3", "c17", "c42"]
         self.assert_matches_bfs_oracle(poset, [e for c in queried for e in chains[c]])
         assert set(poset._projections) == set(queried)
+
+    def test_a_query_sweeps_only_the_forward_projection(self):
+        poset = two_chain_poset()
+        with mock.patch.object(poset_module, "_first_reached",
+                               wraps=poset_module._first_reached) as sweep:
+            assert causal_leq(poset, "pi2", "p3")
+        assert sweep.call_count == 1
+        assert poset._projections["P"][1] is None
 
 
 class TestOrderAxioms:

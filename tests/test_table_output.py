@@ -269,6 +269,9 @@ def reference_quantify(poset, chain, chain2, mu, emit) -> str:
 
 @st.composite
 def posets_with_odd_ids(draw):
+    # the empty poset gives an empty "rows" and a CSV of only the header
+    if draw(st.integers(0, 15)) == 0:
+        return build_poset([], {"P": []}, [])
     poset = random_valid_poset(random.Random(draw(st.integers(0, 2**32))), max_events=24)
     names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=poset.n_events,
                           max_size=poset.n_events, unique=True))
