@@ -348,14 +348,12 @@ def cmd_particle(args) -> int:
     seed = None
     if args.sequence is not None:
         _check_move_count("--sequence", len(args.sequence))
-        seq = kin.InfluenceSequence.from_string(args.sequence, args.initial_helicity)
+        seq = kin.InfluenceSequence.from_string(args.sequence)
         counts = seq.counts()
     elif args.random is not None:
         length, prob_p, seed = _parse_random(args.random)
         _check_move_count("--random", length)
         seq = kin.random_sequence(length, prob_p, seed)
-        if args.initial_helicity:
-            seq = kin.InfluenceSequence(seq.moves, args.initial_helicity)
         counts = seq.counts()
     else:
         counts = kin.UnorderedInfluenceCount(*_parse_counts(args.counts))
@@ -661,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LENGTH", "PROB_P", "SEED"),
         help="seed-deterministic random sequence",
     )
-    p_p.add_argument("--initial-helicity", choices=["P", "Q"], default=None)
+    p_p.add_argument("--initial-helicity", choices=["P", "Q"], default=None,
+                     help="accepted for compatibility; changes no particle output")
     p_p.add_argument("--dp", default=None, help="projected interval length on chain P")
     p_p.add_argument("--dq", default=None, help="projected interval length on chain Q")
     p_p.add_argument("--events", type=int, default=None, help="event count for rates")

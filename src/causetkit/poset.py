@@ -5,10 +5,11 @@ an event on one chain before an event on another.  The union of chain-successor
 edges and influence edges, closed transitively, is the causal order.
 `build_poset` resolves each event id to an index once and builds the successor
 and predecessor lists as it checks them.  Two linear sweeps per chain give the
-projections onto it, cached on the poset at any size.  x precedes y when x's
-forward projection onto y's chain sits at or before y's own, or, if y is missing
-from its chain's order, when one sweep back from y reaches x.  Posets are
-immutable after construction; any number of readers may query concurrently.
+projections onto it, cached on the poset at any size.  One byte per event
+records whether it sits on its chain's order: if y does, x precedes y when x's
+forward projection onto y's chain sits at or before y's own, and if not, when
+one sweep back from y reaches x.  Posets are immutable after construction; any
+number of readers may query concurrently.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ class CausalPoset:
         "_succ",
         "_topo",
         "_pred",
+        "_placed",
         "_projections",
     )
 
-    def __init__(self, events, chain_of, chains, influence_edges, index, succ, pred):
+    def __init__(self, events, chain_of, chains, influence_edges, index, succ, pred, placed):
         self.events: tuple[EventId, ...] = events
         self.chain_of: dict[EventId, str] = chain_of
         self.chains: dict[str, tuple[EventId, ...]] = chains
@@ -66,6 +68,8 @@ class CausalPoset:
         self._index: dict[EventId, int] = index
         self._succ: list[list[int]] = succ
         self._pred: list[list[int]] = pred
+        # per event index, 1 if the event is on its chain's order
+        self._placed: bytearray = placed
         self._topo = self._topological_order()
         self._projections: dict[str, list] = {}
 
@@ -127,18 +131,15 @@ class CausalPoset:
             raise UnknownEventError(f"unknown event id: {event!r}") from None
 
     def leq(self, x: EventId, y: EventId) -> bool:
-        """True iff y is reachable from x (reflexively).  Let y's forward
-        projection onto its chain C sit at position k.  If y is on C's order,
-        y and C[k] reach each other (they are one event, or on a cycle), so x
-        reaches y exactly when x's forward projection onto C sits at or before k;
-        if not, one sweep back from y answers.  Each chain queried caches one
-        list of n_events entries."""
+        """True iff y is reachable from x (reflexively).  If y is on its chain
+        C's order, y and C[k], its forward projection onto C, reach each other
+        (they are one event, or on a cycle), so x reaches y exactly when x's
+        forward projection onto C sits at or before k; if not, one sweep back
+        from y answers.  Each chain queried caches one list of n_events entries."""
         i, j = self._idx(x), self._idx(y)
-        chain = self.chain_of[y]
-        fwd = self._projection_positions(chain, 0)
-        k = fwd[j]
-        if k is not None and (self.chains[chain][k] == y or y in self.chains[chain]):
-            return fwd[i] is not None and fwd[i] <= k
+        if self._placed[j]:
+            fwd = self._projection_positions(self.chain_of[y], 0)
+            return fwd[i] is not None and fwd[i] <= fwd[j]
         return _first_reached([(True, j)], self._pred)[i] is not None
 
     def cycle_events(self) -> tuple[EventId, ...]:
@@ -203,7 +204,7 @@ def build_poset(
     pred: list[list[int]] = [[] for _ in index]
 
     chain_orders: dict[str, tuple[EventId, ...]] = {}
-    placed = [False] * len(index)
+    placed = bytearray(len(index))
     for chain, order in chains.items():
         order = tuple(order)
         prev = None
@@ -221,7 +222,7 @@ def build_poset(
             # only events on their declared chain are placed
             if placed[i]:
                 raise PosetStructureError(f"event {event!r} listed twice in chain {chain!r}")
-            placed[i] = True
+            placed[i] = 1
             if prev is not None:
                 succ[prev].append(i)
                 pred[i].append(prev)
@@ -246,7 +247,7 @@ def build_poset(
         edges.append((src, dst))
 
     return CausalPoset(
-        tuple(chain_of), chain_of, chain_orders, tuple(edges), index, succ, pred
+        tuple(chain_of), chain_of, chain_orders, tuple(edges), index, succ, pred, placed
     )
 
 
@@ -277,9 +278,8 @@ def validate(poset: CausalPoset) -> ValidationReport:
                 cyclic,
             )
         )
-    listed = {e for order in poset.chains.values() for e in order}
-    for event in poset.events:
-        if event not in listed:
+    for event, placed in zip(poset.events, poset._placed):
+        if not placed:
             violations.append(
                 Violation(
                     "chain-not-total",

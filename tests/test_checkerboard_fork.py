@@ -238,14 +238,15 @@ def test_a_failed_fork_formats_every_slice_here():
     assert_nothing_left(state)
 
 
-def fail_in_odd_slices(fail):
-    """KernelColumns.from_field calling `fail` on an odd slice, which only the
-    child formats: the sites of slice t sit at positions of t's parity."""
+def fail_in_a_child(fail):
+    """KernelColumns.from_field calling `fail` in any process but this one, so
+    only in the forked child, whichever slices each process formats."""
     real = KernelColumns.from_field
+    here = os.getpid()
 
     def from_field(field):
         cols = real(field)
-        if cols.positions[0] % 2:
+        if os.getpid() != here:
             fail()
         return cols
 
@@ -273,7 +274,7 @@ def raises():
 ], ids=["memory", "signal", "exception"])
 def test_a_failing_child_ends_the_command_with_one_line(fail, code, message, emit):
     state = process_state()
-    with mock.patch.object(KernelColumns, "from_field", fail_in_odd_slices(fail)), \
+    with mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)), \
             counted_forks() as forks:
         result = run(["--steps", "12", "--emit", emit], 0)
     assert (result[0], result[2], len(forks)) == (code, f"error: {message}\n", 1)

@@ -381,6 +381,16 @@ class TestParticleCommand:
         assert doc["seed"] == 99
         assert len(doc["sequence"]) == 32
 
+    @pytest.mark.parametrize("source", [
+        ("--random", "50", "0.5", "7", "--dp", "3", "--dq", "2"),
+        ("--sequence", "PQQP", "--emit", "csv"),
+    ])
+    def test_initial_helicity_changes_no_byte(self, capsys, source):
+        plain = run(capsys, "particle", *source)
+        assert plain[0] == 0
+        for helicity in ("P", "Q"):
+            assert run(capsys, "particle", *source, "--initial-helicity", helicity) == plain
+
     @pytest.mark.parametrize(
         "values", [("1e3", "0.5", "1"), ("10", "0.5", "1.5"), ("10", "half", "1")]
     )

@@ -131,6 +131,28 @@ class TestValidate:
         report = validate(two_chain_poset())
         assert report.ok == (not report.violations)
 
+    @given(unruly_posets())
+    def test_matches_bfs_oracle_on_unruly_posets(self, poset):
+        # each rule worked out again from the events, chain orders and influence edges
+        events, chain_of, chains = poset.events, poset.chain_of, poset.chains
+        influence = poset.influence_edges
+        expected = [("intra-chain-influence", (a, b))
+                    for a, b in influence if chain_of[a] == chain_of[b]]
+        succ = {e: [] for e in events}
+        for order in chains.values():
+            for a, b in zip(order, order[1:]):
+                succ[a].append(b)
+        for a, b in influence:
+            succ[a].append(b)
+        on_cycle = [e for e in events if any(poset_reachable(poset, t, e) for t in succ[e])]
+        cyclic = tuple(e for e in events if any(poset_reachable(poset, c, e) for c in on_cycle))
+        if cyclic:
+            expected.append(("cycle", cyclic))
+        expected += [("chain-not-total", (e,)) for e in events if e not in chains[chain_of[e]]]
+        report = validate(poset)
+        assert [(v.rule, v.events) for v in report.violations] == expected
+        assert report.ok == (not expected)
+
 
 class TestReportTypes:
     """Violation and ValidationReport: repr, hash, equality, immutability."""
