@@ -359,10 +359,11 @@ def cmd_particle(args) -> int:
         counts = kin.UnorderedInfluenceCount(*_parse_counts(args.counts))
         _check_move_count("--counts", counts.P + counts.Q)
 
-    state: dict = {
-        "counts": {"P": counts.P, "Q": counts.Q},
-        "orderings": kin.count_orderings(counts),
-    }
+    # a path CSV printed alone leaves the state JSON, and its orderings count, unbuilt
+    state_written = seq is None or args.emit != "csv" or args.outdir
+    state: dict = {"counts": {"P": counts.P, "Q": counts.Q}}
+    if state_written:
+        state["orderings"] = kin.count_orderings(counts)
     if seq is not None:
         state["sequence"] = str(seq)
     if seed is not None:
@@ -382,9 +383,9 @@ def cmd_particle(args) -> int:
             "beta": float(ks.beta),
         }
 
-    artifacts = {"particle_state.json": [canonical_json(state) + "\n"]}
     if args.emit == "csv" and seq is None:
         raise ValueError("path CSV requires --sequence or --random")
+    artifacts = {"particle_state.json": [canonical_json(state) + "\n"]} if state_written else {}
     if seq is not None:
         artifacts["particle_path.csv"] = _path_csv(seq)
     _deliver(args, artifacts, "particle_path.csv" if args.emit == "csv" else "particle_state.json")

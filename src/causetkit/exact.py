@@ -11,6 +11,7 @@ when mixed with floats.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -26,6 +27,49 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+def _operators(exact, inexact):
+    """An operator's forward and reverse methods, as Fraction builds its own: `exact`
+    on two Surds for a Surd or Rational operand, `inexact` on floats for a float."""
+
+    def forward(a, b):
+        if isinstance(b, Surd):
+            return exact(a, b)
+        if isinstance(b, Rational):
+            return exact(a, Surd(b))
+        if isinstance(b, float):
+            return inexact(float(a), b)
+        return NotImplemented
+
+    def reverse(b, a):
+        if isinstance(a, Rational):
+            return exact(Surd(a), b)
+        if isinstance(a, float):
+            return inexact(a, float(b))
+        return NotImplemented
+
+    forward.__name__, reverse.__name__ = f"__{inexact.__name__}__", f"__r{inexact.__name__}__"
+    return forward, reverse
+
+
+def _ordering(op):
+    """An ordering method: through float(self) against +-inf or NaN, else exact, by
+    sign and then by square, the larger square being further from zero."""
+
+    def compare(a, b):
+        if isinstance(b, float) and not math.isfinite(b):
+            return op(float(a), b)
+        rhs = a._coerce(b)
+        if rhs is None:
+            raise TypeError(f"cannot compare Surd with {type(b).__name__}")
+        s, t = a._sign(), rhs._sign()
+        if s != t:
+            return op(s, t)
+        return op(a.squared(), rhs.squared()) if s >= 0 else op(rhs.squared(), a.squared())
+
+    compare.__name__ = f"__{op.__name__}__"
+    return compare
 
 
 class Surd:
@@ -100,13 +144,7 @@ class Surd:
     def __abs__(self) -> "Surd":
         return Surd(abs(self.coeff), self.radicand)
 
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = Surd(other)
-        elif isinstance(other, float):
-            return float(self) + other
-        elif not isinstance(other, Surd):
-            return NotImplemented
+    def _add(self, other: "Surd") -> "Surd":
         if self.coeff == 0:
             return other
         if other.coeff == 0:
@@ -121,28 +159,8 @@ class Surd:
             )
         return Surd(self.coeff * ratio + other.coeff, other.radicand)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, float):
-            return float(self) - other
-        return self + (-other if isinstance(other, Surd) else -Fraction(other))
-
-    def __rsub__(self, other):
-        if isinstance(other, float):
-            return other - float(self)
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return Surd(self.coeff * other, self.radicand)
-        if isinstance(other, float):
-            return float(self) * other
-        if isinstance(other, Surd):
-            return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _mul(self, other: "Surd") -> "Surd":
+        return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
 
     def _inverse(self) -> "Surd":
         if self.coeff == 0:
@@ -150,21 +168,10 @@ class Surd:
         # 1/(q*sqrt(r)) == (1/(q*r)) * sqrt(r)
         return Surd(1 / (self.coeff * self.radicand), self.radicand)
 
-    def __truediv__(self, other):
-        if isinstance(other, Rational):
-            return Surd(self.coeff / other, self.radicand)
-        if isinstance(other, float):
-            return float(self) / other
-        if isinstance(other, Surd):
-            return self * other._inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, float):
-            return other / float(self)
-        if isinstance(other, Rational):
-            return self._inverse() * other
-        return NotImplemented
+    __add__, __radd__ = _operators(_add, operator.add)
+    __sub__, __rsub__ = _operators(lambda a, b: a._add(-b), operator.sub)
+    __mul__, __rmul__ = _operators(_mul, operator.mul)
+    __truediv__, __rtruediv__ = _operators(lambda a, b: a._mul(b._inverse()), operator.truediv)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -202,42 +209,9 @@ class Surd:
             return hash(self.coeff)
         return hash((self._sign(), self.squared(), "surd"))
 
-    def _compare(self, other) -> int:
-        rhs = self._coerce(other)
-        if rhs is None:
-            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        s, t = self._sign(), rhs._sign()
-        if s != t:
-            return -1 if s < t else 1
-        a, b = self.squared(), rhs.squared()
-        if a == b:
-            return 0
-        # same sign: larger square means larger magnitude
-        return (-1 if a < b else 1) * (1 if s >= 0 else -1)
-
-    def __lt__(self, other):
-        if _non_finite(other):
-            return float(self) < other
-        return self._compare(other) < 0
-
-    def __le__(self, other):
-        if _non_finite(other):
-            return float(self) <= other
-        return self._compare(other) <= 0
-
-    def __gt__(self, other):
-        if _non_finite(other):
-            return float(self) > other
-        return self._compare(other) > 0
-
-    def __ge__(self, other):
-        if _non_finite(other):
-            return float(self) >= other
-        return self._compare(other) >= 0
-
-
-def _non_finite(value) -> bool:
-    return isinstance(value, float) and not math.isfinite(value)
+    __lt__, __le__, __gt__, __ge__ = map(
+        _ordering, (operator.lt, operator.le, operator.gt, operator.ge)
+    )
 
 
 def sqrt_exact(value) -> Surd:

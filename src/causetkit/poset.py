@@ -54,7 +54,7 @@ class CausalPoset:
         "influence_edges",
         "_index",
         "_succ",
-        "_topo",
+        "_order",
         "_pred",
         "_placed",
         "_projections",
@@ -70,10 +70,17 @@ class CausalPoset:
         self._pred: list[list[int]] = pred
         # per event index, 1 if the event is on its chain's order
         self._placed: bytearray = placed
-        self._topo = self._topological_order()
+        self._order: tuple[int, ...] | None = None  # Kahn's order, made when first asked for
         self._projections: dict[str, list] = {}
 
     # -- derived structure -------------------------------------------------
+
+    @property
+    def _topo(self) -> tuple[int, ...]:
+        # filling the cache is idempotent, as for the projections
+        if self._order is None:
+            self._order = self._topological_order()
+        return self._order
 
     def _topological_order(self) -> tuple[int, ...]:
         """Kahn's algorithm; on a cyclic relation, the prefix it can order."""

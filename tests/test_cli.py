@@ -466,6 +466,20 @@ class TestParticleCommand:
         assert (code, out) == (3, "")
         assert err == f"error: {flag} asks for more than the cap of 100000 moves\n"
 
+    def test_path_csv_alone_counts_no_orderings(self, capsys, monkeypatch):
+        # the state JSON is not printed, so neither it nor its orderings count is built
+        def no_count(counts):
+            raise AssertionError("particle counted orderings for a state it does not print")
+
+        from causetkit import kinematics
+
+        monkeypatch.setattr(kinematics, "count_orderings", no_count)
+        code, out, err = run(capsys, "particle", "--random", "2000", "0.5", "1", "--emit", "csv")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6e86b4fcbf87ed15145cc3afa09b4afd33116e4449c3faac80f72bcfdc6a80ff"
+        )
+
     def test_outdir_writes_both_artifacts(self, capsys, tmp_path):
         outdir = str(tmp_path / "artifacts")
         code, out, _ = run(

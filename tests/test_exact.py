@@ -1,6 +1,9 @@
 """Exact surd arithmetic: q*sqrt(r) values used by the boost transforms."""
 
 import math
+import operator
+import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -176,3 +179,113 @@ def test_half_is_defined_once_in_exact():
     from causetkit import exact, kinematics, quantify
 
     assert kinematics.HALF is quantify.HALF is exact.HALF == Fraction(1, 2)
+
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@st.composite
+def operands(draw, kinds, radicand):
+    """A number of one of `kinds` and its exact value as (c, e), the value
+    c*sqrt(radicand)**e; a Surd is built over a square multiple of radicand**e."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        value = draw(st.integers(-30, 30))
+        return value, (Fraction(value), 0)
+    if kind == "fraction":
+        value = draw(nonzero_rationals | st.just(Fraction(0)))
+        return value, (value, 0)
+    if kind == "float":
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return value, (Fraction(value), 0)
+    c = draw(nonzero_rationals | st.just(Fraction(0)))
+    e = draw(st.sampled_from([0, 1]))
+    k = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]))
+    return Surd(c / k, k * k * radicand**e), (c, e)
+
+
+def exact_arithmetic(op, x, y, radicand):
+    """(c, e) of x op y, each given as (c, e); raises where exact arithmetic must."""
+    (a, e), (b, f) = x, y
+    if op in (operator.add, operator.sub):
+        b = b if op is operator.add else -b
+        if a == 0 or b == 0:
+            return (b, f) if a == 0 else (a, e)
+        if e != f:
+            raise ValueError("incommensurable")
+        return a + b, e
+    if op is operator.mul:
+        return a * b * radicand ** (e & f), e ^ f
+    return a / b / radicand ** (f & (1 - e)), e ^ f
+
+
+def exact_sign(x, y, radicand):
+    """The sign of x - y, each given as (c, e)."""
+    (a, e), (b, f) = x, y
+    if e == f:
+        return (a > b) - (a < b)
+    s, t = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if s != t:
+        return (s > t) - (s < t)
+    # one rational, one irrational, one sign: the larger square is further from zero
+    left, right = a * a * radicand**e, b * b * radicand**f
+    return ((left > right) - (left < right)) * s
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(radicand=st.sampled_from([2, 3, 5]), data=st.data())
+def test_operator_table(radicand, data):
+    # a Surd with a Surd, int, Fraction or finite float on either side: an exact
+    # result equals the Fraction reference, a float one has the float reference's bits
+    x = data.draw(operands(["surd"], radicand))
+    y = data.draw(operands(["surd", "int", "fraction", "float"], radicand))
+    for (a, a_exact), (b, b_exact) in (x, y), (y, x):
+        floats = isinstance(a, float) or isinstance(b, float)
+        for op in ARITHMETIC:
+            got = outcome(lambda: op(a, b))
+            if floats:
+                expected = outcome(lambda: op(float(a), float(b)))
+                if isinstance(expected, float):
+                    assert type(got) is float
+                    assert struct.pack("<d", got) == struct.pack("<d", expected)
+                else:
+                    assert got is expected
+                continue
+            expected = outcome(lambda: exact_arithmetic(op, a_exact, b_exact, radicand))
+            if not isinstance(expected, tuple):
+                assert got is expected
+                continue
+            c, e = expected
+            assert type(got) is Surd
+            assert got.squared() == c * c * radicand**e
+            assert (got.coeff > 0) - (got.coeff < 0) == (c > 0) - (c < 0)
+            if op in (operator.add, operator.sub) and c != 0:
+                # a sum keeps its right operand's radicand, or its left one's if the right is 0
+                kept = a if b_exact[0] == 0 else b
+                assert got.radicand == (kept.radicand if isinstance(kept, Surd) else 1)
+        sign = exact_sign(a_exact, b_exact, radicand)
+        for op in ORDERINGS:
+            assert op(a, b) is op(sign, 0)
+
+
+@pytest.mark.parametrize("other", ["x", Decimal("1.5"), 1j, None], ids=repr)
+@pytest.mark.parametrize("op", ARITHMETIC, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("surd", [Surd(0), Surd(Fraction(3, 2)), sqrt_exact(2)], ids=repr)
+def test_unsupported_operands_raise_type_error(surd, op, other):
+    with pytest.raises(TypeError):
+        op(surd, other)
+    with pytest.raises(TypeError):
+        op(other, surd)
+
+
+def test_division_by_zero_names_the_surd():
+    for divide in (lambda: Surd(1) / 0, lambda: sqrt_exact(2) / Fraction(0), lambda: 1 / Surd(0)):
+        with pytest.raises(ZeroDivisionError, match="^division by zero surd$"):
+            divide()

@@ -279,6 +279,25 @@ class TestLoadPerCommand:
         }
         assert got == {f"{method} {emit}": only for method, emit in runs}
 
+    def test_forked_checkerboard_loads_as_much_and_leaves_no_child(self):
+        # past the fork row bound a child process formats the odd time slices:
+        # the command loads what it loads at 6 steps, no numpy, and reaps the child
+        script = LOADED_SCRIPT + (
+            "import os\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        argv = ["checkerboard", "--steps", "200", "--emit", "json"]
+        loaded, *rest = run_python("-c", script, *argv).splitlines()
+        assert json.loads(loaded) == {
+            "code": 0, "loaded": sorted([*self.BASE, "causetkit.checkerboard"]),
+            "dataclasses": False, "decimal": False, "fractions": False,
+        }
+        assert rest == ["no child left", "False"]
+
     def test_unordered_amplitude_loads_kinematics_when_called(self):
         # counts as a plain tuple, so that only the call can load kinematics
         script = (

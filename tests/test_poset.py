@@ -1,5 +1,6 @@
 """Causal poset construction, validation, reachability and round trip."""
 
+import contextlib
 import io
 import json
 import random
@@ -24,8 +25,10 @@ from causetkit import (
     validate,
 )
 from causetkit import poset as poset_module
+from causetkit.cli import main
 from conftest import (
     bfs_reachable,
+    ladder_poset,
     mutual_influence_poset,
     poset_reachable,
     random_valid_poset,
@@ -152,6 +155,29 @@ class TestValidate:
         report = validate(poset)
         assert [(v.rule, v.events) for v in report.violations] == expected
         assert report.ok == (not expected)
+
+
+    def test_topological_order_is_computed_once_when_first_asked(self, tmp_path, monkeypatch):
+        # only is_acyclic, cycle_events and topological_order read the order, so
+        # quantify and dual never run Kahn's algorithm, and validate runs it once
+        calls = []
+        kahn = poset_module.CausalPoset._topological_order
+        monkeypatch.setattr(
+            poset_module.CausalPoset, "_topological_order",
+            lambda poset: calls.append(poset) or kahn(poset),
+        )
+        path = tmp_path / "ladder.json"
+        save_poset(ladder_poset(), str(path))
+        for emit in ("csv", "json"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                argv = ["quantify", str(path), "--chain", "P", "--chain2", "Q", "--emit", emit]
+                assert main(argv) == 0
+                assert main(["quantify", str(path), "--chain", "Q", "--emit", emit]) == 0
+        poset = dual(ladder_poset())
+        assert calls == []
+        assert validate(poset).ok
+        assert topological_order(poset) == topological_order(poset)
+        assert len(calls) == 1
 
 
 class TestReportTypes:
