@@ -259,7 +259,7 @@ def transition_magnitude_solutions(a: float, b: float) -> list[tuple[float, floa
 
     Exactly two families exist: (c, d) = (b, a) and (c, d) = (-b, -a).
     """
-    if abs(a * a + b * b - 1.0) > _TOL:
+    if not abs(a * a + b * b - 1.0) <= _TOL:
         raise ValueError("magnitudes must satisfy a^2 + b^2 = 1")
     return [(b, a), (-b, -a)]
 

@@ -53,16 +53,15 @@ def _operators(exact, inexact):
     return forward, reverse
 
 
-def _ordering(op):
-    """An ordering method: through float(self) against +-inf or NaN, else exact, by
-    sign and then by square, the larger square being further from zero."""
+def _comparison(op):
+    """A comparison method: exact, by sign and then by square, the larger square being
+    further from zero; a non-finite float compares as it would with any finite number,
+    and an operand that `_coerce` cannot take is left to its own reflected method."""
 
     def compare(a, b):
-        if isinstance(b, float) and not math.isfinite(b):
-            return op(float(a), b)
         rhs = a._coerce(b)
         if rhs is None:
-            raise TypeError(f"cannot compare Surd with {type(b).__name__}")
+            return op(0.0, b) if isinstance(b, float) else NotImplemented  # inf or NaN
         s, t = a._sign(), rhs._sign()
         if s != t:
             return op(s, t)
@@ -182,7 +181,7 @@ class Surd:
         coeff = self.coeff**exponent * self.radicand**half
         return Surd(coeff, self.radicand if odd else 1)
 
-    # -- ordering --------------------------------------------------------
+    # -- comparison ------------------------------------------------------
 
     def _sign(self) -> int:
         return (self.coeff > 0) - (self.coeff < 0)
@@ -198,19 +197,13 @@ class Surd:
             return Surd(Fraction(other))
         return None
 
-    def __eq__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return False if isinstance(other, float) else NotImplemented  # inf or NaN
-        return self._sign() == rhs._sign() and self.squared() == rhs.squared()
-
     def __hash__(self):
         if self.is_rational:
             return hash(self.coeff)
         return hash((self._sign(), self.squared(), "surd"))
 
-    __lt__, __le__, __gt__, __ge__ = map(
-        _ordering, (operator.lt, operator.le, operator.gt, operator.ge)
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _comparison, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
     )
 
 

@@ -154,14 +154,17 @@ class IntervalScalar:
 
 
 def interval_scalar(pair: IntervalPair) -> IntervalScalar:
-    """dp*dq; positive is chain-like, negative antichain-like, zero projection-like."""
+    """dp*dq; positive is chain-like, negative antichain-like, zero projection-like,
+    and NaN raises ValueError."""
     value = pair.dp * pair.dq
     if value > 0:
         kind = CHAIN_LIKE
     elif value < 0:
         kind = ANTICHAIN_LIKE
-    else:
+    elif value == 0:
         kind = PROJECTION_LIKE
+    else:
+        raise ValueError(f"interval scalar is not a number: {value!r}")
     return IntervalScalar(value, kind)
 
 
@@ -181,7 +184,7 @@ class LinearRelation:
             object.__setattr__(self, "m", Fraction(self.m))
         if isinstance(self.n, int):
             object.__setattr__(self, "n", Fraction(self.n))
-        if self.m < 0 or self.n < 0 or (self.m == 0 and self.n == 0):
+        if not (self.m >= 0 and self.n >= 0 and (self.m > 0 or self.n > 0)):
             raise ValueError("projection constants require m, n >= 0 and m + n > 0")
 
     @property
@@ -331,7 +334,7 @@ def lorentz_transform(st: SpacetimeInterval, beta: float) -> SpacetimeInterval:
     dt' = gamma*(dt - beta*dx), dx' = gamma*(dx - beta*dt); the metric
     scalar dt^2 - dx^2 is invariant.
     """
-    if abs(beta) >= 1:
+    if not abs(beta) < 1:
         raise ValueError(f"|beta| must be < 1, got {beta}")
     gamma = 1 / math.sqrt(1 - beta * beta)
     dt, dx = st.dt, st.dx

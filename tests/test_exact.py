@@ -19,6 +19,10 @@ positive_rationals = st.fractions(
     min_value=Fraction(1, 40), max_value=Fraction(50), max_denominator=40
 )
 
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
+COMPARISONS = ORDERINGS + [operator.eq, operator.ne]
+
 
 class TestConstruction:
     def test_perfect_square_folds_to_rational(self):
@@ -118,6 +122,34 @@ class TestOrdering:
         assert sqrt_exact(2) > 1
         assert abs(-sqrt_exact(2)) == sqrt_exact(2)
 
+    @pytest.mark.parametrize("other", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize(
+        "surd",
+        [Surd(10**400), -Surd(10**400), sqrt_exact(2) * 10**400, -sqrt_exact(2) * 10**400],
+        ids=["big", "-big", "big-irrational", "-big-irrational"],
+    )
+    def test_non_finite_floats_compare_as_with_any_finite_number(self, surd, other):
+        # float(surd) would overflow; a Surd is finite, as 0 is, whatever its size
+        for op in COMPARISONS:
+            assert op(surd, other) is op(0, other)
+            assert op(other, surd) is op(other, 0)
+
+    def test_an_operand_it_cannot_take_answers_for_itself(self):
+        class Top:
+            """Orders itself above every other operand."""
+
+            def __gt__(self, other):
+                return True
+
+            def __lt__(self, other):
+                return False
+
+            __ge__, __le__ = __gt__, __lt__
+
+        for surd in (Surd(1), sqrt_exact(2), -Surd(10**400)):
+            assert surd < Top() and surd <= Top() and surd != Top()
+            assert not (surd > Top() or surd >= Top() or surd == Top())
+
 
 @given(q=nonzero_rationals, r=positive_rationals)
 def test_square_is_exact(q, r):
@@ -179,10 +211,6 @@ def test_half_is_defined_once_in_exact():
     from causetkit import exact, kinematics, quantify
 
     assert kinematics.HALF is quantify.HALF is exact.HALF == Fraction(1, 2)
-
-
-ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
-ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
 
 
 @st.composite
@@ -276,12 +304,14 @@ def test_operator_table(radicand, data):
 
 
 @pytest.mark.parametrize("other", ["x", Decimal("1.5"), 1j, None], ids=repr)
-@pytest.mark.parametrize("op", ARITHMETIC, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("op", ARITHMETIC + ORDERINGS, ids=lambda op: op.__name__)
 @pytest.mark.parametrize("surd", [Surd(0), Surd(Fraction(3, 2)), sqrt_exact(2)], ids=repr)
 def test_unsupported_operands_raise_type_error(surd, op, other):
-    with pytest.raises(TypeError):
+    # Surd leaves the operand to its reflected method, so an ordering raises Python's own error
+    message = "not supported between instances of" if op in ORDERINGS else None
+    with pytest.raises(TypeError, match=message):
         op(surd, other)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=message):
         op(other, surd)
 
 

@@ -34,14 +34,17 @@ from causetkit import (
     from_spacetime,
     interval_pair,
     interval_scalar,
+    kinematic_state,
     length,
     lorentz_transform,
     metric_scalar,
     pair_transform,
     quantification_rows,
     collapse,
+    rates,
     sqrt_exact,
     to_spacetime,
+    transition_magnitude_solutions,
 )
 from conftest import (
     bits,
@@ -585,6 +588,31 @@ class TestLorentz:
         out = lorentz_transform(st_interval, beta)
         scale = 1 + abs(metric_scalar(st_interval))
         assert abs(metric_scalar(out) - metric_scalar(st_interval)) < 1e-9 * scale
+
+
+# every comparison with NaN is false, so each domain check is written as the
+# comparison a valid value passes, and NaN fails it with the check's own message
+NAN_CALLS = {
+    "rates": (lambda: rates(5, math.nan, 1), "projected lengths must be positive"),
+    "kinematic_state": (lambda: kinematic_state(math.nan, 2), "rates must be positive"),
+    "LinearRelation": (lambda: LinearRelation(math.nan, 1), "projection constants require"),
+    "lorentz_transform": (
+        lambda: lorentz_transform(SpacetimeInterval(3, 1), math.nan), r"\|beta\| must be < 1"
+    ),
+    "interval_scalar": (
+        lambda: interval_scalar(IntervalPair(math.nan, 1.0)), "interval scalar is not a number"
+    ),
+    "transition_magnitude_solutions": (
+        lambda: transition_magnitude_solutions(math.nan, 0.5), "magnitudes must satisfy"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAN_CALLS)
+def test_nan_fails_the_domain_checks(name):
+    call, message = NAN_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestQuantificationRows:
