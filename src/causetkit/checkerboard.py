@@ -500,8 +500,6 @@ def step_field(field: CheckerboardField, pp: PropagatorPair) -> CheckerboardFiel
 
 # -- kernels --------------------------------------------------------------------
 
-DEFAULT_PATHSUM_CAP = DEFAULT_ENUMERATION_CAP
-
 Kernel = dict[tuple[int, str], Amplitude]
 
 # the path sum weighs 2^_BLOCK_EXPONENT move strings at a time
@@ -512,7 +510,7 @@ def kernel_pathsum(
     steps: int,
     pp: PropagatorPair,
     initial_helicity: str,
-    cap: int = DEFAULT_PATHSUM_CAP,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Kernel:
     """Sum path weights over all 2^steps move strings, grouped by endpoint.
 
@@ -643,7 +641,7 @@ def kernel(
     pp: PropagatorPair,
     initial_helicity: str,
     method: str = "matrix",
-    cap: int = DEFAULT_PATHSUM_CAP,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Kernel:
     """Endpoint amplitudes after `steps` steps from a definite initial helicity."""
     if method == "matrix":

@@ -16,6 +16,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from . import DEFAULT_ENUMERATION_CAP
 from .errors import CapExceededError, CausetkitError, SchemaError
 
 if TYPE_CHECKING:
@@ -415,17 +416,16 @@ def cmd_checkerboard(args) -> int:
         pp = cb.zero_momentum_propagators()
 
     steps = args.steps
-    cap = cb.DEFAULT_PATHSUM_CAP if args.cap is None else args.cap
     if args.method == "pathsum":
-        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=cap)
+        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
         slices = [(steps, cb.KernelColumns.from_kernel(pathsum))]
     else:
         # slice t holds at most 2(t+1) rows
         row_bound = (steps + 1) * (steps + 2)
-        if row_bound > cap:
+        if row_bound > args.cap:
             raise CapExceededError(
                 f"the matrix method writes up to {row_bound} rows for {steps} steps, "
-                f"over the cap of {cap}"
+                f"over the cap of {args.cap}"
             )
         # the point source is allocated here, before any output, and the
         # fields are stepped as the writer reads each slice
@@ -439,7 +439,7 @@ def cmd_checkerboard(args) -> int:
 
     discrepancy = None
     if args.method == "both":
-        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=cap)
+        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
         # the path-sum cap bounds steps, so every slice fits; the last is kernel_matrix's kernel
         slices = list(slices)
         discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
@@ -447,9 +447,10 @@ def cmd_checkerboard(args) -> int:
             print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 
     primary = f"checkerboard.{args.emit}"
-    texts = (_slice_text(t, cols, args.emit) for t, cols in slices)
     if args.method == "matrix" and args.emit != "svg" and _fork_pays(row_bound):
-        texts = _forked_slice_texts(fields, args.emit, texts)
+        texts = _forked_slice_texts(fields, args.emit)
+    else:
+        texts = (_slice_text(t, cols, args.emit) for t, cols in slices)
     if args.emit == "svg":
         chunks = probability_svg(slices)
     elif args.emit == "json":
@@ -503,17 +504,18 @@ def _fork_pays(row_bound: int) -> bool:
     return cpus > 1 and threading.active_count() == 1
 
 
-def _forked_slice_texts(fields, emit: str, texts: Iterator[str]) -> Iterator[str]:
+def _forked_slice_texts(fields, emit: str) -> Iterator[str]:
     """The `_slice_text` of each of the stepped `fields`, the odd slices
-    formatted by a forked child; `texts`, the same texts made here, if no
-    process can be forked.
+    formatted by a forked child.
 
     Both processes step every field, which costs little beside formatting.
     The child writes each odd slice to a pipe as an 8-byte length and its
     UTF-8 text; the parent formats the even ones and reads the odd ones in
     turn.  So each process holds one slice, and the pipe bounds how far the
-    child runs ahead.  A child that ends early or fails ends the command with
-    an error, and one left running, as when the output is abandoned, is killed.
+    child runs ahead.  The parent formats any odd slice the pipe does not
+    bring, because no process could be forked or the child ended, so the
+    bytes, stderr and exit code are those of one process.  A child left
+    running, as when the output is abandoned, is killed.
     """
     from .checkerboard import KernelColumns
 
@@ -524,33 +526,23 @@ def _forked_slice_texts(fields, emit: str, texts: Iterator[str]) -> Iterator[str
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: format every slice here
-        os.close(read_fd)
-        os.close(write_fd)
-        yield from texts
-        return
+    except OSError:  # no process to spare: the pipe has no writer
+        pid = cpus = None
     if pid == 0:
         _write_odd_slices(fields, emit, read_fd, write_fd, cpus)  # never returns
     os.close(write_fd)
     try:
-        if cpus:
-            os.sched_setaffinity(0, cpus - {max(cpus)})
         with open(read_fd, "rb") as pipe:
+            if cpus:
+                os.sched_setaffinity(0, cpus - {max(cpus)})
             for step, field in enumerate(fields):
-                if step % 2 == 0:
-                    yield _slice_text(step, KernelColumns.from_field(field), emit)
-                    continue
-                text = _read_slice(pipe)
+                text = _read_slice(pipe) if step % 2 else None
                 if text is None:
-                    child, pid = pid, None
-                    _reap(child)
-                    raise OSError(f"the process formatting odd slices ended before slice {step}")
+                    text = _slice_text(step, KernelColumns.from_field(field), emit)
                 yield text
                 del text  # freed before the next field is stepped
-        child, pid = pid, None
-        _reap(child)
     finally:
-        if pid is not None:
+        if pid:
             import signal
 
             os.kill(pid, signal.SIGKILL)
@@ -571,10 +563,10 @@ def _read_slice(pipe) -> str | None:
 
 def _write_odd_slices(fields, emit: str, read_fd: int, write_fd: int, cpus):
     """The forked child: write the odd slices of `fields` to the pipe and
-    exit, with status 3 if memory runs out.  Nothing it runs may return into
-    the parent's code, write to stdout or stderr, or run the exit handlers and
-    flush the buffers it inherited, so it leaves only through os._exit."""
-    status = 1
+    exit.  Nothing it runs may return into the parent's code, write to stdout
+    or stderr, or run the exit handlers and flush the buffers it inherited, so
+    it leaves only through os._exit, whatever ends it; the parent formats
+    every slice it does not send."""
     try:
         import gc
 
@@ -590,23 +582,8 @@ def _write_odd_slices(fields, emit: str, read_fd: int, write_fd: int, cpus):
                 pipe.write(len(text).to_bytes(8, "little"))
                 pipe.write(text)
                 pipe.flush()
-        status = 0
-    except MemoryError:
-        status = 3
     finally:
-        os._exit(status)
-
-
-def _reap(pid: int) -> None:
-    """Wait for the child; a nonzero exit raises what `main` reports."""
-    _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code == 3:
-        raise MemoryError
-    if code < 0:
-        raise CapExceededError(f"the process formatting odd slices was killed by signal {-code}")
-    if code:
-        raise OSError(f"the process formatting odd slices exited with status {code}")
+        os._exit(0)
 
 
 # -- parser -------------------------------------------------------------------------
@@ -680,8 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--eps", type=float, default=None, help="time step of --mass (default 1.0)")
     p_c.add_argument("--initial", choices=["P", "Q"], default="P", help="initial helicity")
     p_c.add_argument("--method", choices=["matrix", "pathsum", "both"], default="matrix")
-    # default: checkerboard.DEFAULT_PATHSUM_CAP, read when the command runs
-    p_c.add_argument("--cap", type=int, default=None,
+    p_c.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                      help="most move strings for pathsum, most rows for matrix")
     p_c.add_argument("--emit", choices=["csv", "json", "svg"], default="csv")
     p_c.add_argument("--outdir", default=None)

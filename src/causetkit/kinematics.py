@@ -154,7 +154,7 @@ def rates(n_events: int, dp, dq):
     Fraction for an int or Fraction length and a float for a float length."""
     if n_events <= 0:
         raise ValueError("event count must be positive")
-    if not (dp > 0 and dq > 0):
+    if not (0 < dp < math.inf and 0 < dq < math.inf):
         raise ValueError("projected lengths must be positive")
     return Fraction(n_events) / dp, Fraction(n_events) / dq
 
@@ -182,7 +182,7 @@ class KinematicState:
 def kinematic_state(r_p, r_q) -> KinematicState:
     """Describe a particle by its influence rates; the mass is exact unless a
     rate is a float, and an irrational surd product raises ValueError."""
-    if not (r_p > 0 and r_q > 0):
+    if not (0 < r_p < math.inf and 0 < r_q < math.inf):
         raise ValueError("rates must be positive")
     energy = (r_p + r_q) * HALF
     momentum = (r_q - r_p) * HALF

@@ -184,7 +184,7 @@ class LinearRelation:
             object.__setattr__(self, "m", Fraction(self.m))
         if isinstance(self.n, int):
             object.__setattr__(self, "n", Fraction(self.n))
-        if not (self.m >= 0 and self.n >= 0 and (self.m > 0 or self.n > 0)):
+        if not (0 <= self.m < math.inf and 0 <= self.n < math.inf and (self.m > 0 or self.n > 0)):
             raise ValueError("projection constants require m, n >= 0 and m + n > 0")
 
     @property

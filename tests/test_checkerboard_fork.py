@@ -3,11 +3,11 @@
 Past `cli._FORK_ROW_BOUND` rows a forked child formats the odd time slices
 and the parent the even ones.  The output must be the bytes of the one-process
 writer, no child or pipe end may outlive the command, and a child that fails
-must end the command with one `error:` line and a documented exit code.  Most
-cases lower the bound so that small lattices fork, and a bound of 10**18 gives
-the one-process bytes they are compared with.  Both writers are also checked
-against the general path: row dicts serialised by `rows_to_csv` or
-`canonical_json`.
+or is killed may change nothing but the time: the parent formats every odd
+slice the pipe does not bring.  Most cases lower the bound so that small
+lattices fork, and a bound of 10**18 gives the one-process bytes they are
+compared with.  Both writers are also checked against the general path: row
+dicts serialised by `rows_to_csv` or `canonical_json`.
 """
 
 import contextlib
@@ -267,27 +267,63 @@ def raises():
 
 @needs_fork
 @pytest.mark.parametrize("emit", ["csv", "json"])
-@pytest.mark.parametrize("fail, code, message", [
-    (out_of_memory, 3, "checkerboard ran out of memory"),
-    (killed, 3, "the process formatting odd slices was killed by signal 9"),
-    (raises, 2, "the process formatting odd slices exited with status 1"),
-], ids=["memory", "signal", "exception"])
-def test_a_failing_child_ends_the_command_with_one_line(fail, code, message, emit):
+@pytest.mark.parametrize("fail", [out_of_memory, killed, raises],
+                         ids=["memory", "signal", "exception"])
+def test_a_failing_child_changes_nothing_but_the_time(fail, emit):
+    argv = ["--steps", "12", "--emit", emit]
+    expected = run(argv, ONE_PROCESS)
     state = process_state()
     with mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)), \
             counted_forks() as forks:
-        result = run(["--steps", "12", "--emit", emit], 0)
-    assert (result[0], result[2], len(forks)) == (code, f"error: {message}\n", 1)
+        assert run(argv, 0) == expected
+    assert len(forks) == 1
     assert_nothing_left(state)
 
 
 @needs_fork
-def test_a_child_that_exits_nonzero_after_its_last_slice_fails_the_command():
+def test_a_child_that_exits_nonzero_after_its_last_slice_changes_nothing():
+    argv = ["--steps", "12"]
+    expected = run(argv, ONE_PROCESS)
     real_exit = os._exit
     state = process_state()
     with mock.patch.object(os, "_exit", lambda status: real_exit(5)):
+        assert run(argv, 0) == expected
+    assert_nothing_left(state)
+
+
+@needs_fork
+def test_a_healthy_child_sends_every_odd_slice():
+    # the parent would format a slice the child fails to send, so only this
+    # shows a child that sends nothing
+    real = cli._slice_text
+    here = os.getpid()
+    formatted_here = []
+
+    def slice_text(step, cols, emit):
+        if os.getpid() == here:
+            formatted_here.append(step)
+        return real(step, cols, emit)
+
+    with mock.patch.object(cli, "_slice_text", slice_text), counted_forks() as forks:
+        assert run(["--steps", "40"], 0)[0] == 0
+    assert (formatted_here, len(forks)) == (list(range(0, 41, 2)), 1)
+
+
+@needs_fork
+def test_a_failing_parent_kills_and_reaps_the_child():
+    real = KernelColumns.from_field
+    here = os.getpid()
+
+    def from_field(field):
+        if os.getpid() == here and field.step_count == 4:
+            raise MemoryError
+        return real(field)
+
+    state = process_state()
+    with mock.patch.object(KernelColumns, "from_field", from_field), \
+            counted_forks() as forks:
         code, _, err = run(["--steps", "12"], 0)
-    assert (code, err) == (2, "error: the process formatting odd slices exited with status 5\n")
+    assert (code, err, len(forks)) == (3, "error: checkerboard ran out of memory\n", 1)
     assert_nothing_left(state)
 
 

@@ -615,6 +615,23 @@ def test_nan_fails_the_domain_checks(name):
         call()
 
 
+# an infinite constant or rate gave a NaN beta, a 0.0 rate or an OverflowError
+INFINITY_CALLS = {
+    "rates": (lambda: rates(5, math.inf, 1), "projected lengths must be positive"),
+    "kinematic_state r_p": (lambda: kinematic_state(math.inf, 2), "rates must be positive"),
+    "kinematic_state r_q": (lambda: kinematic_state(2, math.inf), "rates must be positive"),
+    "LinearRelation m": (lambda: LinearRelation(math.inf, 1), "projection constants require"),
+    "LinearRelation n": (lambda: LinearRelation(1, math.inf), "projection constants require"),
+}
+
+
+@pytest.mark.parametrize("name", INFINITY_CALLS)
+def test_infinity_fails_the_domain_checks(name):
+    call, message = INFINITY_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestQuantificationRows:
     def test_coordinated_rows(self, ladder):
         val_p = ChainValuation.from_poset(ladder, "P")
