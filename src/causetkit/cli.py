@@ -491,17 +491,14 @@ _FORK_ROW_BOUND = 2**15
 
 def _fork_pays(row_bound: int) -> bool:
     """Whether a forked child should format half of the slices: the lattice
-    is deep enough, fork exists, the process may run on a second CPU, and it
-    has no other thread, which a fork would not copy (3.12 and later warn)."""
-    if row_bound < _FORK_ROW_BOUND or not hasattr(os, "fork"):
+    is deep enough, the process can set its CPU mask (Linux) and may run on
+    a second CPU, and it has no other thread, which a fork would not copy
+    (3.12 and later warn)."""
+    if row_bound < _FORK_ROW_BOUND or not hasattr(os, "sched_setaffinity"):
         return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
     import threading
 
-    return cpus > 1 and threading.active_count() == 1
+    return len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
 
 
 def _forked_slice_texts(fields, emit: str) -> Iterator[str]:
@@ -520,23 +517,24 @@ def _forked_slice_texts(fields, emit: str) -> Iterator[str]:
     from .checkerboard import KernelColumns
 
     # a pipe's reader, woken by its writer, is moved to the writer's CPU, so
-    # the two processes would keep sharing one: until the child is done, it
-    # runs on the last CPU allowed and the parent on the others
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    # the two processes would keep sharing one: while the child runs, it has
+    # the last CPU allowed and the parent the others
+    cpus = os.sched_getaffinity(0)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the pipe has no writer
-        pid = cpus = None
+        pid = None
     if pid == 0:
-        _write_odd_slices(fields, emit, read_fd, write_fd, cpus)  # never returns
+        _write_odd_slices(fields, emit, read_fd, write_fd, max(cpus))  # never returns
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            if cpus:
+            if pid:
                 os.sched_setaffinity(0, cpus - {max(cpus)})
+            odd = iter(lambda: _read_slice(pipe, cpus), None)  # no call after the first None
             for step, field in enumerate(fields):
-                text = _read_slice(pipe) if step % 2 else None
+                text = next(odd, None) if step % 2 else None
                 if text is None:
                     text = _slice_text(step, KernelColumns.from_field(field), emit)
                 yield text
@@ -547,33 +545,33 @@ def _forked_slice_texts(fields, emit: str) -> Iterator[str]:
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if cpus:
             os.sched_setaffinity(0, cpus)
 
 
-def _read_slice(pipe) -> str | None:
-    """The text of the child's next slice, or None if the pipe ends first."""
+def _read_slice(pipe, cpus: set[int]) -> str | None:
+    """The text of the child's next slice, or None if the pipe ends first:
+    then the child's CPU is free, and the process may run on all of `cpus`."""
     head = pipe.read(8)
     size = int.from_bytes(head, "little")
     text = pipe.read(size)
     if len(head) < 8 or len(text) < size:
+        os.sched_setaffinity(0, cpus)
         return None
     return text.decode()
 
 
-def _write_odd_slices(fields, emit: str, read_fd: int, write_fd: int, cpus):
-    """The forked child: write the odd slices of `fields` to the pipe and
-    exit.  Nothing it runs may return into the parent's code, write to stdout
-    or stderr, or run the exit handlers and flush the buffers it inherited, so
-    it leaves only through os._exit, whatever ends it; the parent formats
-    every slice it does not send."""
+def _write_odd_slices(fields, emit: str, read_fd: int, write_fd: int, cpu: int):
+    """The forked child: write the odd slices of `fields` to the pipe from
+    `cpu` alone, and exit.  Nothing it runs may return into the parent's
+    code, write to stdout or stderr, or run the exit handlers and flush the
+    buffers it inherited, so it leaves only through os._exit, whatever ends
+    it; the parent formats every slice it does not send."""
     try:
         import gc
 
         gc.freeze()
         os.close(read_fd)
-        if cpus:
-            os.sched_setaffinity(0, {max(cpus)})
+        os.sched_setaffinity(0, {cpu})
         from .checkerboard import KernelColumns
 
         with open(write_fd, "wb") as pipe:

@@ -155,16 +155,16 @@ class IntervalScalar:
 
 def interval_scalar(pair: IntervalPair) -> IntervalScalar:
     """dp*dq; positive is chain-like, negative antichain-like, zero projection-like,
-    and NaN raises ValueError."""
+    and a NaN or infinite component raises ValueError."""
+    if not (-math.inf < pair.dp < math.inf and -math.inf < pair.dq < math.inf):
+        raise ValueError(f"interval scalar is not a number: dp={pair.dp!r}, dq={pair.dq!r}")
     value = pair.dp * pair.dq
     if value > 0:
         kind = CHAIN_LIKE
     elif value < 0:
         kind = ANTICHAIN_LIKE
-    elif value == 0:
-        kind = PROJECTION_LIKE
     else:
-        raise ValueError(f"interval scalar is not a number: {value!r}")
+        kind = PROJECTION_LIKE
     return IntervalScalar(value, kind)
 
 
@@ -349,7 +349,7 @@ def quantification_rows(
     """Per-event coordinate table; absent projections yield None fields.
 
     Coordinated mode adds (t, x) from the two forward projections:
-    t = (p + q)/2, x = (p - q)/2.
+    t = (p + q) * HALF, x = (p - q) * HALF.
     """
 
     def values(valuation: ChainValuation) -> list[list]:
@@ -365,7 +365,7 @@ def quantification_rows(
     for event, p, p_back, q, q_back in zip(poset.events, p_fwd, p_bwd, q_fwd, q_bwd):
         t = x = None
         if p is not None and q is not None:
-            t, x = (p + q) / 2, (p - q) / 2
+            t, x = (p + q) * HALF, (p - q) * HALF
         rows.append(
             dict(event_id=event, p_fwd=p, p_bwd=p_back, q_fwd=q, q_bwd=q_back, t=t, x=x)
         )

@@ -86,6 +86,12 @@ def assert_nothing_left(state):
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX-only")
+# the command forks only where it can set its CPU mask and may run on a second
+# CPU, so a test that asserts a fork skips elsewhere, as under `taskset -c 0`
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="forks only where the CPU mask can be set and allows two CPUs",
+)
 
 # angles in [0, pi/2], where both propagator magnitudes are nonnegative
 propagators = st.one_of(
@@ -97,7 +103,7 @@ propagators = st.one_of(
 )
 
 
-@needs_fork
+@needs_two_cpus
 @settings(max_examples=60, deadline=None)
 @given(steps=st.integers(0, 16), flags=propagators, initial=st.sampled_from("PQ"),
        emit=st.sampled_from(["csv", "json"]), to_outdir=st.booleans())
@@ -158,7 +164,7 @@ def reference_checkerboard(steps, flags, initial, method, emit):
     return canonical_json(doc) + "\n", err
 
 
-@needs_fork
+@needs_two_cpus
 @settings(max_examples=80, deadline=None)
 @given(steps=st.integers(0, 16), method=st.sampled_from(["matrix", "pathsum", "both"]),
        flags=propagators, initial=st.sampled_from("PQ"), emit=st.sampled_from(["csv", "json"]))
@@ -176,7 +182,8 @@ def test_both_writers_match_the_row_dicts(steps, method, flags, initial, emit):
 
 
 @needs_fork
-@pytest.mark.parametrize("steps, forks", [(18, 0), (179, 0), (180, 1)])
+@pytest.mark.parametrize("steps, forks",
+                         [(18, 0), (179, 0), pytest.param(180, 1, marks=needs_two_cpus)])
 def test_the_row_bound_splits_at_180_steps(steps, forks):
     # 179 steps write up to 32,580 rows and 180 steps 32,942; the paths
     # benchmark's path sums take at most 18 steps
@@ -200,8 +207,15 @@ def test_the_svg_never_forks():
 
 @contextlib.contextmanager
 def one_cpu():
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True), \
-            mock.patch.object(os, "cpu_count", lambda: 1):
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        yield
+
+
+@contextlib.contextmanager
+def no_cpu_mask():
+    # as on macOS, which has os.fork but no os.sched_setaffinity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "sched_setaffinity", raising=False)
         yield
 
 
@@ -219,8 +233,8 @@ def another_thread():
 
 
 @needs_fork
-@pytest.mark.parametrize("context", [one_cpu, another_thread])
-def test_one_cpu_or_another_thread_keeps_one_process(context):
+@pytest.mark.parametrize("context", [one_cpu, no_cpu_mask, another_thread])
+def test_the_fork_gate_keeps_one_process(context):
     argv = ["--steps", "12", "--theta", "0.7"]
     with context(), mock.patch.object(os, "fork", refuse_fork):
         assert run(argv, 0) == run(argv, ONE_PROCESS)
@@ -265,7 +279,7 @@ def raises():
     raise ValueError("not a slice")
 
 
-@needs_fork
+@needs_two_cpus
 @pytest.mark.parametrize("emit", ["csv", "json"])
 @pytest.mark.parametrize("fail", [out_of_memory, killed, raises],
                          ids=["memory", "signal", "exception"])
@@ -280,6 +294,31 @@ def test_a_failing_child_changes_nothing_but_the_time(fail, emit):
     assert_nothing_left(state)
 
 
+@needs_two_cpus
+def test_the_parent_takes_the_childs_cpu_back_when_the_pipe_ends():
+    # the child is killed at its first slice, and the parent formats the
+    # rest on every CPU allowed, not pinned off the child's until the end
+    argv = ["--steps", "6"]
+    expected = run(argv, ONE_PROCESS)
+    cpus = os.sched_getaffinity(0)
+    real = cli._slice_text
+    here = os.getpid()
+    masks = {}
+
+    def slice_text(step, cols, emit):
+        if os.getpid() == here:
+            masks[step] = os.sched_getaffinity(0)
+        return real(step, cols, emit)
+
+    state = process_state()
+    with mock.patch.object(KernelColumns, "from_field", fail_in_a_child(killed)), \
+            mock.patch.object(cli, "_slice_text", slice_text), counted_forks() as forks:
+        assert run(argv, 0) == expected
+    assert len(forks) == 1
+    assert masks == {0: cpus - {max(cpus)}, **{t: cpus for t in range(1, 7)}}
+    assert_nothing_left(state)
+
+
 @needs_fork
 def test_a_child_that_exits_nonzero_after_its_last_slice_changes_nothing():
     argv = ["--steps", "12"]
@@ -291,7 +330,7 @@ def test_a_child_that_exits_nonzero_after_its_last_slice_changes_nothing():
     assert_nothing_left(state)
 
 
-@needs_fork
+@needs_two_cpus
 def test_a_healthy_child_sends_every_odd_slice():
     # the parent would format a slice the child fails to send, so only this
     # shows a child that sends nothing
@@ -309,7 +348,7 @@ def test_a_healthy_child_sends_every_odd_slice():
     assert (formatted_here, len(forks)) == (list(range(0, 41, 2)), 1)
 
 
-@needs_fork
+@needs_two_cpus
 def test_a_failing_parent_kills_and_reaps_the_child():
     real = KernelColumns.from_field
     here = os.getpid()
@@ -337,7 +376,7 @@ class ClosingStdout(io.StringIO):
             self.write(chunk)
 
 
-@needs_fork
+@needs_two_cpus
 @pytest.mark.parametrize("emit", ["csv", "json"])
 def test_abandoned_output_kills_and_reaps_the_child(emit):
     state = process_state()

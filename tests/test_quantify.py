@@ -622,6 +622,13 @@ INFINITY_CALLS = {
     "kinematic_state r_q": (lambda: kinematic_state(2, math.inf), "rates must be positive"),
     "LinearRelation m": (lambda: LinearRelation(math.inf, 1), "projection constants require"),
     "LinearRelation n": (lambda: LinearRelation(1, math.inf), "projection constants require"),
+    # gave a chain-like inf, and a NaN product for a zero other component
+    "interval_scalar": (
+        lambda: interval_scalar(IntervalPair(math.inf, 1.0)), "interval scalar is not a number"
+    ),
+    "interval_scalar dq = 0": (
+        lambda: interval_scalar(IntervalPair(math.inf, 0)), "interval scalar is not a number"
+    ),
 }
 
 
@@ -645,6 +652,21 @@ class TestQuantificationRows:
         # no forward projection onto P exists for the top of chain Q
         assert rows["q7"]["p_fwd"] is None
         assert rows["q7"]["t"] is None
+
+    def test_an_int_mu_halves_exactly(self):
+        # a ChainValuation built directly keeps its int mu, and (t, x) halve
+        # with HALF as from_poset's Fraction mu does, where int / 2 is a float
+        poset = ladder_poset(8, 1)
+        direct = [ChainValuation(c, 1, {e: k for k, e in enumerate(poset.chains[c])})
+                  for c in "PQ"]
+        built = [ChainValuation.from_poset(poset, c) for c in "PQ"]
+
+        def coordinates(valuations):
+            return {row["event_id"]: (bits(row["t"]), bits(row["x"]))
+                    for row in quantification_rows(poset, *valuations)}
+
+        assert coordinates(direct) == coordinates(built)
+        assert coordinates(direct)["q0"] == (bits(Fraction(1, 2)), bits(Fraction(1, 2)))
 
     def test_ladder_rows_past_ten_thousand_events(self):
         # closed form for offset k: q_j projects forward onto P at j+k and
