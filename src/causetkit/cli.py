@@ -170,14 +170,21 @@ def _deliver(args, artifacts: dict[str, Iterable[str]], primary: str) -> None:
     """Write all artifacts into the output directory, or print the primary one.
 
     An artifact is an iterable of text chunks, built only as it is written, so
-    every check belongs before this call.
+    every check belongs before this call.  A file is written under a temporary
+    name and renamed into place once whole, so a failed write leaves nothing.
     """
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
         for name, chunks in artifacts.items():
             path = os.path.join(args.outdir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+            partial = os.path.join(args.outdir, f".{name}.{os.getpid()}.partial")
+            try:
+                with open(partial, "w", encoding="utf-8") as fh:
+                    fh.writelines(chunks)
+                os.replace(partial, path)
+            finally:
+                if os.path.exists(partial):  # the write failed
+                    os.unlink(partial)
             print(path)
     else:
         sys.stdout.writelines(artifacts[primary])
@@ -447,8 +454,16 @@ def cmd_checkerboard(args) -> int:
             print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 
     primary = f"checkerboard.{args.emit}"
-    if args.method == "matrix" and args.emit != "svg" and _fork_pays(row_bound):
-        texts = _forked_slice_texts(fields, args.emit)
+    if args.method == "matrix" and args.emit != "svg":
+
+        def text(item) -> str:
+            t, field = item
+            return _slice_text(t, cb.KernelColumns.from_field(field), args.emit)
+
+        mapper = map
+        if row_bound >= _FORK_ROW_BOUND:
+            from ._forked import forked_map as mapper
+        texts = mapper(text, enumerate(fields))
     else:
         texts = (_slice_text(t, cols, args.emit) for t, cols in slices)
     if args.emit == "svg":
@@ -487,101 +502,6 @@ def _slice_text(step: int, cols, emit: str) -> str:
 # a forked child broke even at 128 and 160 steps (16,770 and 26,082 rows) and
 # saved 30-40 ms at 180 and 200 steps (32,942 and 40,602 rows)
 _FORK_ROW_BOUND = 2**15
-
-
-def _fork_pays(row_bound: int) -> bool:
-    """Whether a forked child should format half of the slices: the lattice
-    is deep enough, the process can set its CPU mask (Linux) and may run on
-    a second CPU, and it has no other thread, which a fork would not copy
-    (3.12 and later warn)."""
-    if row_bound < _FORK_ROW_BOUND or not hasattr(os, "sched_setaffinity"):
-        return False
-    import threading
-
-    return len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
-
-
-def _forked_slice_texts(fields, emit: str) -> Iterator[str]:
-    """The `_slice_text` of each of the stepped `fields`, the odd slices
-    formatted by a forked child.
-
-    Both processes step every field, which costs little beside formatting.
-    The child writes each odd slice to a pipe as an 8-byte length and its
-    UTF-8 text; the parent formats the even ones and reads the odd ones in
-    turn.  So each process holds one slice, and the pipe bounds how far the
-    child runs ahead.  The parent formats any odd slice the pipe does not
-    bring, because no process could be forked or the child ended, so the
-    bytes, stderr and exit code are those of one process.  A child left
-    running, as when the output is abandoned, is killed.
-    """
-    from .checkerboard import KernelColumns
-
-    # a pipe's reader, woken by its writer, is moved to the writer's CPU, so
-    # the two processes would keep sharing one: while the child runs, it has
-    # the last CPU allowed and the parent the others
-    cpus = os.sched_getaffinity(0)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the pipe has no writer
-        pid = None
-    if pid == 0:
-        _write_odd_slices(fields, emit, read_fd, write_fd, max(cpus))  # never returns
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            if pid:
-                os.sched_setaffinity(0, cpus - {max(cpus)})
-            odd = iter(lambda: _read_slice(pipe, cpus), None)  # no call after the first None
-            for step, field in enumerate(fields):
-                text = next(odd, None) if step % 2 else None
-                if text is None:
-                    text = _slice_text(step, KernelColumns.from_field(field), emit)
-                yield text
-                del text  # freed before the next field is stepped
-    finally:
-        if pid:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.sched_setaffinity(0, cpus)
-
-
-def _read_slice(pipe, cpus: set[int]) -> str | None:
-    """The text of the child's next slice, or None if the pipe ends first:
-    then the child's CPU is free, and the process may run on all of `cpus`."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    text = pipe.read(size)
-    if len(head) < 8 or len(text) < size:
-        os.sched_setaffinity(0, cpus)
-        return None
-    return text.decode()
-
-
-def _write_odd_slices(fields, emit: str, read_fd: int, write_fd: int, cpu: int):
-    """The forked child: write the odd slices of `fields` to the pipe from
-    `cpu` alone, and exit.  Nothing it runs may return into the parent's
-    code, write to stdout or stderr, or run the exit handlers and flush the
-    buffers it inherited, so it leaves only through os._exit, whatever ends
-    it; the parent formats every slice it does not send."""
-    try:
-        import gc
-
-        gc.freeze()
-        os.close(read_fd)
-        os.sched_setaffinity(0, {cpu})
-        from .checkerboard import KernelColumns
-
-        with open(write_fd, "wb") as pipe:
-            for t, field in itertools.islice(enumerate(fields), 1, None, 2):
-                text = _slice_text(t, KernelColumns.from_field(field), emit).encode()
-                pipe.write(len(text).to_bytes(8, "little"))
-                pipe.write(text)
-                pipe.flush()
-    finally:
-        os._exit(0)
 
 
 # -- parser -------------------------------------------------------------------------

@@ -118,7 +118,11 @@ class Surd:
         return self.coeff * self.coeff * self.radicand
 
     def __float__(self) -> float:
-        return float(self.coeff) * math.sqrt(float(self.radicand))
+        # exact coeff / 2**j and radicand / 4**k lie near 1: any value in range converts
+        c, r = self.coeff, self.radicand
+        j = c.numerator.bit_length() - c.denominator.bit_length()
+        k = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
+        return math.ldexp(float(c * HALF**j) * math.sqrt(float(r * HALF ** (2 * k))), j + k)
 
     def __bool__(self) -> bool:
         return self.coeff != 0

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -372,6 +373,18 @@ class TestParticleCommand:
         assert kin["E"] == 3.5
         assert kin["p"] == 1.5
 
+    @pytest.mark.parametrize("dp, dq, mass", [
+        ("1e300", "3e300", 5.773502691896258e-300),
+        ("1e-300", "3e-300", 5.773502691896257e300),
+    ])
+    def test_mass_in_the_float_range_whatever_its_square(self, capsys, dp, dq, mass):
+        # M = sqrt(rP * rQ), where rP * rQ underflows or overflows a float
+        code, out, _ = run(capsys, "particle", "--counts", "5,5", "--dp", dp, "--dq", dq)
+        kin = json.loads(out)["kinematics"]
+        assert (code, kin["M"]) == (0, mass)
+        e, p, m = (Fraction(kin[key]) for key in "EpM")
+        assert math.isclose((e * e - p * p) / (m * m), 1, rel_tol=1e-15)
+
     def test_random_is_seed_deterministic(self, capsys):
         args = ("particle", "--random", "32", "0.5", "99")
         _, first, _ = run(capsys, *args)
@@ -656,3 +669,49 @@ def test_outdir_env_variable_is_ignored(capsys, tmp_path, ladder_file, monkeypat
     assert run(capsys, *argv) == expected
     assert expected[0] == 0 and expected[1]
     assert os.listdir(tmp_path) == ["ladder.json"]
+
+
+def run_limited(argv, file_size):
+    """`python -m causetkit.cli *argv` in its own session, its files limited to
+    `file_size` bytes when that is not None: the exit code, stdout and stderr,
+    once no process of the session is left."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
+
+    with subprocess.Popen([sys.executable, "-m", "causetkit.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          preexec_fn=None if file_size is None else limit,
+                          start_new_session=True) as proc:
+        out, err = proc.communicate(timeout=120)
+    # a forked writer's child is gone too
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return proc.returncode, out.decode(), err.decode()
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="RLIMIT_FSIZE and sessions are POSIX")
+@pytest.mark.parametrize("command", ["quantify", "checkerboard"])
+def test_an_outdir_artifact_is_whole_or_absent(tmp_path, command):
+    # each artifact passes 100,000 bytes: a 5,000-rung ladder's coordinates,
+    # and a 300-step lattice, which the checkerboard writer formats in two
+    # processes where two CPUs are allowed
+    if command == "quantify":
+        ladder = tmp_path / "ladder.json"
+        save_poset(ladder_poset(5000), str(ladder))
+        argv, name = ["quantify", str(ladder), "--chain", "P", "--chain2", "Q"], "quantify.csv"
+    else:
+        argv, name = ["checkerboard", "--steps", "300"], "checkerboard.csv"
+    full = tmp_path / "full"
+    assert run_limited([*argv, "--outdir", str(full)], None) == (0, f"{full / name}\n", "")
+    assert os.listdir(full) == [name]
+    code, expected, _ = run_limited(argv, None)
+    assert (code, (full / name).read_text(encoding="utf-8")) == (0, expected)
+    assert len(expected.encode()) > 100_000
+    cut = tmp_path / "cut"
+    assert run_limited([*argv, "--outdir", str(cut)], 100_000) == (
+        2, "", "error: [Errno 27] File too large\n"
+    )
+    assert os.listdir(cut) == []

@@ -1,0 +1,69 @@
+"""The checkerboard kernel's continuum limit: the 1+1 Dirac propagator.
+
+Feynman's checkerboard with the reversal weight i*m*epsilon approaches the
+retarded Dirac propagator as the step shrinks (Feynman & Hibbs 1965, problem
+2-6; Jacobson & Schulman 1984, J. Phys. A 17, 375).  From a P source, after
+N = T/epsilon steps, at (t, x) = (T, site*epsilon) inside the light cone:
+
+    K(x, Q) / epsilon  ->  i*m*J0(m*sqrt(t^2 - x^2))
+    K(x, P) / epsilon  ->  -m*sqrt((t + x)/(t - x))*J1(m*sqrt(t^2 - x^2))
+
+The edge of the cone, where the continuum kernel has its delta, is left
+out: only |x| < 0.9t is compared.  The error is first order in epsilon, so
+it halves as N doubles.
+"""
+
+import math
+
+import pytest
+
+from causetkit import kernel_matrix, propagators_from_mass
+
+MASS, T = 1.0, 3.0
+# the largest error at N = 150, 300 and 600 is 2.155e-2, 1.067e-2 and 5.372e-3
+LARGEST_ERROR_AT_600 = 5.5e-3
+
+
+def bessel(order: int, z: float) -> float:
+    """J0 or J1 by its power series, summed until a term no longer counts."""
+    term = (z / 2) ** order / math.factorial(order)
+    total, k = term, 0
+    while abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= -((z / 2) ** 2) / (k * (k + order))
+        total += term
+    return total
+
+
+def dirac_kernel(x: float, helicity: str) -> complex:
+    s = MASS * math.sqrt(T * T - x * x)
+    if helicity == "Q":
+        return 1j * MASS * bessel(0, s)
+    return -MASS * math.sqrt((T + x) / (T - x)) * bessel(1, s)
+
+
+def largest_error(steps: int) -> float:
+    eps = T / steps
+    kernel = kernel_matrix(steps, propagators_from_mass(MASS, eps), "P")
+    errors = [
+        abs(amplitude / eps - dirac_kernel(site * eps, helicity))
+        for (site, helicity), amplitude in kernel.items()
+        if abs(site * eps) < 0.9 * T
+    ]
+    assert len(errors) > steps // 2  # both helicities at most sites inside the cone
+    return max(errors)
+
+
+def test_the_series_are_bessel_functions():
+    # J0 and J1 at their first zeros and at a tabulated point
+    assert abs(bessel(0, 2.404825557695773)) < 1e-15
+    assert abs(bessel(1, 3.8317059702075125)) < 1e-15
+    assert bessel(0, 1.0) == pytest.approx(0.7651976865579666, rel=1e-15)
+    assert bessel(1, 1.0) == pytest.approx(0.44005058574493355, rel=1e-15)
+
+
+def test_the_kernel_approaches_the_dirac_propagator_at_first_order():
+    errors = [largest_error(steps) for steps in (150, 300, 600)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+    assert errors[-1] < LARGEST_ERROR_AT_600

@@ -3,11 +3,12 @@
 import math
 import operator
 import struct
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from causetkit.exact import Surd, sqrt_exact
@@ -54,6 +55,28 @@ class TestConstruction:
 
     def test_float_value(self):
         assert math.isclose(float(sqrt_exact(2)), math.sqrt(2), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("surd, value", [
+        (Surd(Fraction(1, 10**300), 2 * 10**400), math.sqrt(2) * 1e-100),
+        (Surd(10**300, Fraction(1, 2 * 10**400)), 1e100 / math.sqrt(2)),
+        (Surd(10**100, Fraction(2, 10**700)), math.sqrt(2) * 1e-250),
+        (Surd(Fraction(1, 10**100), 2 * 10**700), math.sqrt(2) * 1e250),
+        (Surd(10**200, Fraction(1, 3)), 1e200 / math.sqrt(3)),
+        (Surd(Fraction(1, 10**400)), 0.0),
+    ], ids=["1e-300*sqrt(2e400)", "1e300*sqrt(5e-401)", "1e100*sqrt(2e-700)",
+            "1e-100*sqrt(2e700)", "1e200*sqrt(1/3)", "1e-400"])
+    def test_float_in_range_whatever_its_parts(self, surd, value):
+        # the coefficient or the radicand alone is past the float range, at
+        # either end, where a product of their floats gave 0.0 or raised
+        assert math.isclose(float(surd), value, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("surd", [Surd(10**400), Surd(10**200, 2 * 10**300),
+                                      -sqrt_exact(2 * 10**700)],
+                             ids=["1e400", "1e200*sqrt(2e300)", "-sqrt(2e700)"])
+    def test_float_past_the_range_overflows(self, surd):
+        # as a product of two floats 1e200*sqrt(2e300) was inf, not an error
+        with pytest.raises(OverflowError):
+            float(surd)
 
 
 class TestArithmetic:
@@ -169,6 +192,33 @@ def test_ordering_consistent_with_float(q, r):
     s = Surd(q, r)
     t = Surd(q + 1, r)
     assert (s < t) == (float(s) < float(t))
+
+
+# n/d * 2**e over most of the float range and past both of its ends
+wide_rationals = st.builds(
+    lambda n, d, e: Fraction(n, d) * Fraction(2) ** e,
+    st.integers(-(10**20), 10**20), st.integers(1, 10**20), st.integers(-1100, 1100),
+)
+
+
+@given(coeff=wide_rationals, radicand=wide_rationals.filter(lambda r: r > 0))
+# 1/15 * sqrt(1/49) is the Surd 1/105; 2**-1012/1809 is a subnormal float
+@example(coeff=Fraction(1, 15), radicand=Fraction(1, 49))
+@example(coeff=Fraction(1), radicand=Fraction(1, 1809) * Fraction(2) ** -1012)
+def test_float_is_the_plain_formula_where_that_is_normal(coeff, radicand):
+    # float(Surd) was float(s.coeff) * sqrt(float(s.radicand)) of the Surd's own
+    # parts; where each float of that formula is normal, float(s.radicand)
+    # among them, the scaled formula gives the same bits
+    surd = Surd(coeff, radicand)
+    try:
+        parts = [float(surd.coeff), float(surd.radicand)]
+    except OverflowError:
+        assume(False)
+    root = math.sqrt(parts[1])
+    reference = parts[0] * root
+    normal = [sys.float_info.min <= abs(x) < math.inf for x in [*parts, root, reference]]
+    assume(surd.coeff == 0 or all(normal))
+    assert float(surd).hex() == reference.hex()
 
 
 NUMBER_FORMS = ["surd", "surd-other-form", "float", "fraction", "int", "nan", "inf"]

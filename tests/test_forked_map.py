@@ -1,0 +1,189 @@
+"""`_forked.forked_map(fn, items)`: an ordered map whose odd items a forked
+child computes.
+
+Small texts stand in for a lattice's time slices.  Whatever the child does,
+the results must be exactly `list(map(fn, items))`; no child or pipe end may
+outlive the map, and the process may run on the CPUs it could before.  The
+map forks only where the process can set its CPU mask and may run on two
+CPUs, so the tests that assert a fork skip elsewhere, as under `taskset -c 0`.
+"""
+
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from unittest import mock
+
+import pytest
+
+import causetkit
+from causetkit._forked import forked_map
+# the fork tests' probes of this process, its forks and the fork gate
+from test_checkerboard_fork import (
+    another_thread, counted_forks, needs_two_cpus, no_cpu_mask, one_cpu, process_state,
+    refuse_fork,
+)
+
+SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
+
+# 41 texts: empty, ASCII with the characters CSV quotes, and multi-byte UTF-8
+TEXTS = ["", "a", "b,c", 'say "hi"\n', "x\r\ny", "π ≈ 3.14159", "日本語", "naïve 🙂"]
+TEXTS += [f"{i}:" + "é" * i for i in range(41 - len(TEXTS))]
+
+
+def backwards(text):
+    return text[::-1]
+
+
+@contextlib.contextmanager
+def nothing_left():
+    """Assert that no child of this process is left, reaped or not, no pipe
+    end is open, and the process may run on the CPUs it could before."""
+    state = process_state()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert process_state() == state
+
+
+def in_the_child(act, fn=backwards):
+    """`fn`, calling `act` first in any process but this one, so only in the
+    forked child."""
+    here = os.getpid()
+
+    def child_acts(text):
+        if os.getpid() != here:
+            act()
+        return fn(text)
+
+    return child_acts
+
+
+def parent_calls(calls, fn=backwards):
+    """`fn`, recording in `calls` each item this process computes, with its CPUs."""
+    here = os.getpid()
+
+    def recorded(text):
+        if os.getpid() == here:
+            calls.append((text, process_state()[1]))
+        return fn(text)
+
+    return recorded
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 41])
+def test_the_results_are_those_of_map(n):
+    items = TEXTS[:n]
+    with nothing_left(), counted_forks() as forks:
+        assert list(forked_map(backwards, iter(items))) == list(map(backwards, items))
+    assert len(forks) == 1
+
+
+@needs_two_cpus
+def test_a_healthy_child_computes_every_odd_item():
+    calls = []
+    cpus = os.sched_getaffinity(0)
+    with nothing_left(), counted_forks() as forks:
+        out = list(forked_map(parent_calls(calls), TEXTS))
+    assert (out, len(forks)) == (list(map(backwards, TEXTS)), 1)
+    # while the child runs, the parent leaves it the last CPU
+    assert calls == [(text, cpus - {max(cpus)}) for text in TEXTS[::2]]
+
+
+@needs_two_cpus
+def test_a_lagging_child_changes_nothing():
+    # the child sleeps before each item, so the parent is always ahead of it
+    fn = in_the_child(lambda: time.sleep(0.01))
+    with nothing_left(), counted_forks() as forks:
+        assert list(forked_map(fn, TEXTS)) == list(map(backwards, TEXTS))
+    assert len(forks) == 1
+
+
+def out_of_memory():
+    raise MemoryError
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raises():
+    raise ValueError("not an item")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fail", [killed, raises, out_of_memory],
+                         ids=["signal", "exception", "memory"])
+def test_a_failing_child_changes_nothing(fail):
+    # the child fails at its first item, so the parent computes every item,
+    # on every CPU from the first the pipe does not bring
+    calls = []
+    cpus = os.sched_getaffinity(0)
+    with nothing_left(), counted_forks() as forks:
+        out = list(forked_map(parent_calls(calls, in_the_child(fail)), TEXTS))
+    assert (out, len(forks)) == (list(map(backwards, TEXTS)), 1)
+    assert calls == [(TEXTS[0], cpus - {max(cpus)}), *((text, cpus) for text in TEXTS[1:])]
+
+
+@needs_two_cpus
+def test_a_child_that_exits_nonzero_after_its_last_item_changes_nothing():
+    real_exit = os._exit
+    with nothing_left(), counted_forks() as forks, \
+            mock.patch.object(os, "_exit", lambda status: real_exit(5)):
+        assert list(forked_map(backwards, TEXTS)) == list(map(backwards, TEXTS))
+    assert len(forks) == 1
+
+
+def test_a_failed_fork_computes_every_item_here():
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    calls = []
+    with nothing_left(), mock.patch.object(os, "fork", fork):
+        assert list(forked_map(parent_calls(calls), TEXTS)) == list(map(backwards, TEXTS))
+    assert [text for text, _ in calls] == TEXTS
+
+
+@needs_two_cpus
+def test_a_failing_fn_in_the_parent_propagates_and_the_child_is_reaped():
+    here = os.getpid()
+
+    def fn(text):
+        if os.getpid() == here and text == TEXTS[4]:
+            raise ValueError("the parent's fifth item")
+        return backwards(text)
+
+    out = []
+    with nothing_left(), counted_forks() as forks:
+        with pytest.raises(ValueError, match="the parent's fifth item"):
+            out.extend(forked_map(fn, TEXTS))
+    assert (out, len(forks)) == (list(map(backwards, TEXTS[:4])), 1)
+
+
+@needs_two_cpus
+def test_a_map_closed_after_two_items_kills_and_reaps_the_child():
+    # the child sleeps, so it is still running when the map is closed
+    with nothing_left(), counted_forks() as forks:
+        results = forked_map(in_the_child(lambda: time.sleep(0.05)), TEXTS)
+        assert [next(results), next(results)] == list(map(backwards, TEXTS[:2]))
+        results.close()
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("context", [one_cpu, no_cpu_mask, another_thread])
+def test_the_fork_gate_keeps_one_process(context):
+    with nothing_left(), context(), mock.patch.object(os, "fork", refuse_fork):
+        assert list(forked_map(backwards, TEXTS)) == list(map(backwards, TEXTS))
+
+
+def test_the_module_imports_nothing_from_causetkit():
+    script = (
+        "import sys, causetkit._forked\n"
+        "print(sorted(m for m in sys.modules if m.startswith('causetkit.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+    assert out == "['causetkit._forked']\n"

@@ -6,7 +6,8 @@ amplitude is computed in Python complex numbers, so only the array accessors
 `PropagatorPair.P`, `.Q` and `Spinor.as_array` import numpy: no command loads
 it, and with numpy unimportable every command and helper but those runs.
 `--help` loads no submodule but `errors`; `validate` and `quantify` add only
-`poset`, and `checkerboard` only `checkerboard`, in every method and format.
+`poset`, and `checkerboard` only `checkerboard`, in every method and format,
+and `_forked` past the fork bound.
 None of them loads `dataclasses`, and only `quantify` loads `fractions` and
 `decimal`; `particle` loads `kinematics`, `exact` and all three.
 `unordered_amplitude` loads `kinematics` when it is called.  The public API
@@ -281,7 +282,8 @@ class TestLoadPerCommand:
 
     def test_forked_checkerboard_loads_as_much_and_leaves_no_child(self):
         # past the fork row bound a child process formats the odd time slices:
-        # the command loads what it loads at 6 steps, no numpy, and reaps the child
+        # the command loads what it loads at 6 steps and the two-process map,
+        # no numpy, and reaps the child
         script = LOADED_SCRIPT + (
             "import os\n"
             "try:\n"
@@ -293,7 +295,8 @@ class TestLoadPerCommand:
         argv = ["checkerboard", "--steps", "200", "--emit", "json"]
         loaded, *rest = run_python("-c", script, *argv).splitlines()
         assert json.loads(loaded) == {
-            "code": 0, "loaded": sorted([*self.BASE, "causetkit.checkerboard"]),
+            "code": 0,
+            "loaded": sorted([*self.BASE, "causetkit._forked", "causetkit.checkerboard"]),
             "dataclasses": False, "decimal": False, "fractions": False,
         }
         assert rest == ["no child left", "False"]
