@@ -423,10 +423,10 @@ def cmd_checkerboard(args) -> int:
         pp = cb.zero_momentum_propagators()
 
     steps = args.steps
-    if args.method == "pathsum":
-        pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
-        slices = [(steps, cb.KernelColumns.from_kernel(pathsum))]
-    else:
+    doc = {"steps": steps, "a": pp.a, "b": pp.b, "initial_helicity": args.initial,
+           "method": args.method, "tolerance": cb._TOL}
+    # items are (t, source) slices, and columns(source) their KernelColumns
+    if args.method != "pathsum":
         # slice t holds at most 2(t+1) rows
         row_bound = (steps + 1) * (steps + 2)
         if row_bound > args.cap:
@@ -442,46 +442,37 @@ def cmd_checkerboard(args) -> int:
             raise CapExceededError(
                 f"--steps {steps} needs a lattice too large to allocate"
             ) from None
-        slices = enumerate(map(cb.KernelColumns.from_field, fields))
-
-    discrepancy = None
-    if args.method == "both":
+        items, columns = enumerate(fields), cb.KernelColumns.from_field
+    if args.method != "matrix":
         pathsum = cb.kernel_pathsum(steps, pp, args.initial, cap=args.cap)
-        # the path-sum cap bounds steps, so every slice fits; the last is kernel_matrix's kernel
-        slices = list(slices)
-        discrepancy = cb.kernel_discrepancy(slices[-1][1].as_kernel(), pathsum)
-        if args.emit != "json":  # JSON carries it in the document
-            print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
+        if args.method == "pathsum":
+            items, columns = [(steps, pathsum)], cb.KernelColumns.from_kernel
+        else:
+            # the path-sum cap bounds steps, so every field fits; the last is kernel_matrix's
+            items = list(items)
+            discrepancy = cb.kernel_discrepancy(cb.field_kernel(items[-1][1]), pathsum)
+            if args.emit == "json":
+                doc["max_discrepancy"] = discrepancy
+            else:
+                print(f"max_discrepancy {format_number(discrepancy)}", file=sys.stderr)
 
     primary = f"checkerboard.{args.emit}"
-    if args.method == "matrix" and args.emit != "svg":
+    if args.emit == "svg":
+        chunks = probability_svg((t, columns(source)) for t, source in items)
+    else:
 
         def text(item) -> str:
-            t, field = item
-            return _slice_text(t, cb.KernelColumns.from_field(field), args.emit)
+            t, source = item
+            return _slice_text(t, columns(source), args.emit)
 
         mapper = map
-        if row_bound >= _FORK_ROW_BOUND:
+        if args.method == "matrix" and row_bound >= _FORK_ROW_BOUND:
             from ._forked import forked_map as mapper
-        texts = mapper(text, enumerate(fields))
-    else:
-        texts = (_slice_text(t, cols, args.emit) for t, cols in slices)
-    if args.emit == "svg":
-        chunks = probability_svg(slices)
-    elif args.emit == "json":
-        doc = {
-            "steps": steps,
-            "a": pp.a,
-            "b": pp.b,
-            "initial_helicity": args.initial,
-            "method": args.method,
-            "tolerance": cb._TOL,
-        }
-        if discrepancy is not None:
-            doc["max_discrepancy"] = discrepancy
-        chunks = _json_document(doc, texts)
-    else:
-        chunks = itertools.chain(["t,x,helicity,amp_re,amp_im,probability\n"], texts)
+        texts = mapper(text, items)
+        if args.emit == "json":
+            chunks = _json_document(doc, texts)
+        else:
+            chunks = itertools.chain(["t,x,helicity,amp_re,amp_im,probability\n"], texts)
     _deliver(args, {primary: chunks}, primary)
     return 0
 

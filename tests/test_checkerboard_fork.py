@@ -17,7 +17,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 from unittest import mock
 
 import pytest
@@ -29,6 +28,10 @@ from causetkit import checkerboard as cb
 from causetkit import cli
 from causetkit.checkerboard import KernelColumns
 from causetkit.cli import canonical_json, format_number, main, rows_to_csv
+from forkprobes import (
+    another_thread, counted_forks, needs_fork, needs_two_cpus, no_cpu_mask, nothing_left,
+    one_cpu, refuse_fork,
+)
 
 SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 ONE_PROCESS = 10**18
@@ -53,46 +56,6 @@ def run(argv, bound, outdir=None):
         return code, fh.read(), err.getvalue()
 
 
-@contextlib.contextmanager
-def counted_forks():
-    """os.fork, counting its calls."""
-    calls = []
-    real = os.fork
-
-    def fork():
-        calls.append(None)
-        return real()
-
-    with mock.patch.object(os, "fork", fork):
-        yield calls
-
-
-def refuse_fork():
-    raise AssertionError("forked where one process should format every slice")
-
-
-def process_state():
-    """This process's open file descriptors and the CPUs it may run on."""
-    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
-    return fds, os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
-def assert_nothing_left(state):
-    """No child of this process is left, reaped or not, no pipe end is open,
-    and the process may run on the CPUs it could before."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert process_state() == state
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX-only")
-# the command forks only where it can set its CPU mask and may run on a second
-# CPU, so a test that asserts a fork skips elsewhere, as under `taskset -c 0`
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="forks only where the CPU mask can be set and allows two CPUs",
-)
-
 # angles in [0, pi/2], where both propagator magnitudes are nonnegative
 propagators = st.one_of(
     st.just([]),
@@ -114,15 +77,14 @@ def test_forked_bytes_equal_one_process(tmp_path_factory, steps, flags, initial,
     with mock.patch.object(os, "fork", refuse_fork):
         expected = run(argv, ONE_PROCESS, outdir)
     assert expected[0] == 0
-    state = process_state()
-    if (steps + 1) * (steps + 2) < LOW_BOUND:
-        with mock.patch.object(os, "fork", refuse_fork):
-            assert run(argv, LOW_BOUND, outdir) == expected
-    else:
-        with counted_forks() as forks:
-            assert run(argv, LOW_BOUND, outdir) == expected
-        assert len(forks) == 1
-    assert_nothing_left(state)
+    with nothing_left():
+        if (steps + 1) * (steps + 2) < LOW_BOUND:
+            with mock.patch.object(os, "fork", refuse_fork):
+                assert run(argv, LOW_BOUND, outdir) == expected
+        else:
+            with counted_forks() as forks:
+                assert run(argv, LOW_BOUND, outdir) == expected
+            assert len(forks) == 1
 
 
 KERNEL_COLUMNS = ["t", "x", "helicity", "amp_re", "amp_im", "probability"]
@@ -172,13 +134,11 @@ def test_both_writers_match_the_row_dicts(steps, method, flags, initial, emit):
     out, err = reference_checkerboard(steps, flags, initial, method, emit)
     argv = ["--steps", str(steps), "--method", method, *flags, "--initial", initial,
             "--emit", emit]
-    state = process_state()
     # a bound of 2 rows forks at every matrix depth, the default at none of these
     for bound, forks in [(2, int(method == "matrix")), (cli._FORK_ROW_BOUND, 0)]:
-        with counted_forks() as calls:
+        with nothing_left(), counted_forks() as calls:
             assert run(argv, bound) == (0, out, err)
         assert len(calls) == forks
-    assert_nothing_left(state)
 
 
 @needs_fork
@@ -205,33 +165,6 @@ def test_the_svg_never_forks():
         assert run(["--steps", "12", "--emit", "svg"], 0)[0] == 0
 
 
-@contextlib.contextmanager
-def one_cpu():
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-        yield
-
-
-@contextlib.contextmanager
-def no_cpu_mask():
-    # as on macOS, which has os.fork but no os.sched_setaffinity
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delattr(os, "sched_setaffinity", raising=False)
-        yield
-
-
-@contextlib.contextmanager
-def another_thread():
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
 @needs_fork
 @pytest.mark.parametrize("context", [one_cpu, no_cpu_mask, another_thread])
 def test_the_fork_gate_keeps_one_process(context):
@@ -246,10 +179,8 @@ def test_a_failed_fork_formats_every_slice_here():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     argv = ["--steps", "12", "--emit", "json"]
-    state = process_state()
-    with mock.patch.object(os, "fork", fork):
+    with nothing_left(), mock.patch.object(os, "fork", fork):
         assert run(argv, 0) == run(argv, ONE_PROCESS)
-    assert_nothing_left(state)
 
 
 def fail_in_a_child(fail):
@@ -286,12 +217,10 @@ def raises():
 def test_a_failing_child_changes_nothing_but_the_time(fail, emit):
     argv = ["--steps", "12", "--emit", emit]
     expected = run(argv, ONE_PROCESS)
-    state = process_state()
-    with mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)), \
-            counted_forks() as forks:
+    with nothing_left(), counted_forks() as forks, \
+            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)):
         assert run(argv, 0) == expected
     assert len(forks) == 1
-    assert_nothing_left(state)
 
 
 @needs_two_cpus
@@ -310,13 +239,12 @@ def test_the_parent_takes_the_childs_cpu_back_when_the_pipe_ends():
             masks[step] = os.sched_getaffinity(0)
         return real(step, cols, emit)
 
-    state = process_state()
-    with mock.patch.object(KernelColumns, "from_field", fail_in_a_child(killed)), \
-            mock.patch.object(cli, "_slice_text", slice_text), counted_forks() as forks:
+    with nothing_left(), counted_forks() as forks, \
+            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(killed)), \
+            mock.patch.object(cli, "_slice_text", slice_text):
         assert run(argv, 0) == expected
     assert len(forks) == 1
     assert masks == {0: cpus - {max(cpus)}, **{t: cpus for t in range(1, 7)}}
-    assert_nothing_left(state)
 
 
 @needs_fork
@@ -324,10 +252,8 @@ def test_a_child_that_exits_nonzero_after_its_last_slice_changes_nothing():
     argv = ["--steps", "12"]
     expected = run(argv, ONE_PROCESS)
     real_exit = os._exit
-    state = process_state()
-    with mock.patch.object(os, "_exit", lambda status: real_exit(5)):
+    with nothing_left(), mock.patch.object(os, "_exit", lambda status: real_exit(5)):
         assert run(argv, 0) == expected
-    assert_nothing_left(state)
 
 
 @needs_two_cpus
@@ -358,12 +284,10 @@ def test_a_failing_parent_kills_and_reaps_the_child():
             raise MemoryError
         return real(field)
 
-    state = process_state()
-    with mock.patch.object(KernelColumns, "from_field", from_field), \
-            counted_forks() as forks:
+    with nothing_left(), counted_forks() as forks, \
+            mock.patch.object(KernelColumns, "from_field", from_field):
         code, _, err = run(["--steps", "12"], 0)
     assert (code, err, len(forks)) == (3, "error: checkerboard ran out of memory\n", 1)
-    assert_nothing_left(state)
 
 
 class ClosingStdout(io.StringIO):
@@ -379,13 +303,12 @@ class ClosingStdout(io.StringIO):
 @needs_two_cpus
 @pytest.mark.parametrize("emit", ["csv", "json"])
 def test_abandoned_output_kills_and_reaps_the_child(emit):
-    state = process_state()
     err = io.StringIO()
-    with mock.patch.object(cli, "_FORK_ROW_BOUND", 0), counted_forks() as forks, \
+    with nothing_left(), mock.patch.object(cli, "_FORK_ROW_BOUND", 0), \
+            counted_forks() as forks, \
             contextlib.redirect_stdout(ClosingStdout()), contextlib.redirect_stderr(err):
         code = main(["checkerboard", "--steps", "300", "--emit", emit])
     assert (code, err.getvalue(), len(forks)) == (2, "error: [Errno 32] Broken pipe\n", 1)
-    assert_nothing_left(state)
 
 
 @needs_fork

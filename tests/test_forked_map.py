@@ -8,7 +8,6 @@ map forks only where the process can set its CPU mask and may run on two
 CPUs, so the tests that assert a fork skip elsewhere, as under `taskset -c 0`.
 """
 
-import contextlib
 import os
 import signal
 import subprocess
@@ -20,10 +19,9 @@ import pytest
 
 import causetkit
 from causetkit._forked import forked_map
-# the fork tests' probes of this process, its forks and the fork gate
-from test_checkerboard_fork import (
-    another_thread, counted_forks, needs_two_cpus, no_cpu_mask, one_cpu, process_state,
-    refuse_fork,
+from forkprobes import (
+    another_thread, counted_forks, needs_two_cpus, no_cpu_mask, nothing_left, one_cpu,
+    process_state, refuse_fork,
 )
 
 SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
@@ -35,17 +33,6 @@ TEXTS += [f"{i}:" + "é" * i for i in range(41 - len(TEXTS))]
 
 def backwards(text):
     return text[::-1]
-
-
-@contextlib.contextmanager
-def nothing_left():
-    """Assert that no child of this process is left, reaped or not, no pipe
-    end is open, and the process may run on the CPUs it could before."""
-    state = process_state()
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert process_state() == state
 
 
 def in_the_child(act, fn=backwards):
