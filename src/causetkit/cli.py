@@ -54,46 +54,32 @@ def format_number(value) -> str:
 
 def canonical_json(obj) -> str:
     """JSON with sorted keys and fixed float formatting."""
-    pieces: list[str] = []
-    _write_json(obj, pieces)
-    return "".join(pieces)
+    return _json(obj)
 
 
-def _write_json(obj, pieces: list[str]) -> None:
+def _json(obj) -> str:
     if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, str):
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
         # the string encoder of json.dumps(obj, ensure_ascii=False)
         from json.encoder import encode_basestring
 
-        pieces.append(encode_basestring(obj))
-    elif isinstance(obj, (int, float)):
-        pieces.append(format_number(obj))
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                pieces.append(", ")
-            _write_json(str(key), pieces)
-            pieces.append(": ")
-            _write_json(obj[key], pieces)
-        pieces.append("}")
-    elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                pieces.append(", ")
-            _write_json(item, pieces)
-        pieces.append("]")
-    else:
-        # the one other value a command writes: quantify's --mu
-        from fractions import Fraction
+        return encode_basestring(obj)
+    if isinstance(obj, (int, float)):
+        return format_number(obj)
+    if isinstance(obj, dict):
+        pairs = (f"{_json(str(key))}: {_json(obj[key])}" for key in sorted(obj))
+        return "{" + ", ".join(pairs) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    # the one other value a command writes: quantify's --mu
+    from fractions import Fraction
 
-        if not isinstance(obj, Fraction):
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-        pieces.append(format_number(obj))
+    if not isinstance(obj, Fraction):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return format_number(obj)
 
 
 def _csv_cell(value) -> str:
@@ -489,9 +475,12 @@ def _slice_text(step: int, cols, emit: str) -> str:
 
 
 # the row bound from which `checkerboard --method matrix` formats CSV and JSON
-# in two processes.  As processes on a 2-core x86-64 VM with both cores free,
-# a forked child broke even at 128 and 160 steps (16,770 and 26,082 rows) and
-# saved 30-40 ms at 180 and 200 steps (32,942 and 40,602 rows)
+# in two processes (180 steps, 32,942 rows).  As fresh processes on a 2-core
+# x86-64 VM with both cores free, forking (forced below the bound) was 7-13 ms
+# slower at 6 and 40 steps, 2-6% faster at 100, 14-16% faster at 150, and 22%
+# and 29% faster at 180 and 250 steps.  It stays here because the gain needs a
+# free second CPU, and where other work keeps it busy two processes are
+# slower than one; no benchmark workload runs the matrix method below it
 _FORK_ROW_BOUND = 2**15
 
 

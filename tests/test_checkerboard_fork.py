@@ -1,13 +1,16 @@
 """`checkerboard --method matrix` CSV and JSON formatted in two processes.
 
-Past `cli._FORK_ROW_BOUND` rows a forked child formats the odd time slices
-and the parent the even ones.  The output must be the bytes of the one-process
-writer, no child or pipe end may outlive the command, and a child that fails
-or is killed may change nothing but the time: the parent formats every odd
-slice the pipe does not bring.  Most cases lower the bound so that small
-lattices fork, and a bound of 10**18 gives the one-process bytes they are
-compared with.  Both writers are also checked against the general path: row
-dicts serialised by `rows_to_csv` or `canonical_json`.
+Past `cli._FORK_ROW_BOUND` rows `_forked.forked_map` forks a child that
+formats the odd time slices while the parent formats the even ones.  The
+output must be the bytes of the one-process writer, no child or pipe end may
+outlive the command, and a child that fails or is killed may change nothing
+but the time: the parent formats every odd slice the pipe does not bring.
+The map's failure modes are also tested lattice-free, on small items, in
+`tests/test_forked_map.py`; here they are run through the command.  Most
+cases lower the bound so that small lattices fork, and a bound of 10**18
+gives the one-process bytes they are compared with.  Both writers are also
+checked against the general path: row dicts serialised by `rows_to_csv` or
+`canonical_json`.
 """
 
 import contextlib
