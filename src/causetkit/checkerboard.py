@@ -596,8 +596,7 @@ class KernelColumns(NamedTuple):
     def from_kernel(cls, k: Kernel) -> "KernelColumns":
         """Every entry of a kernel mapping, zero amplitudes included."""
         keys = sorted(k)
-        positions, helicities = zip(*keys)
-        return cls(list(positions), list(helicities), [complex(k[key]) for key in keys])
+        return cls([x for x, _ in keys], [h for _, h in keys], [complex(k[key]) for key in keys])
 
     @property
     def probabilities(self) -> list[float]:

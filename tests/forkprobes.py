@@ -1,5 +1,7 @@
-"""Probes of this process, its forks and the fork gate, shared by the tests
-of `_forked.forked_map` and of the forked `checkerboard` writer."""
+"""Probes of this process, its forks and the fork gate, for the tests of
+`_forked.forked_map` and of the forked `checkerboard` writer.  Of these,
+`process_state` and the gate contexts `one_cpu`, `no_cpu_mask` and
+`another_thread` serve `tests/test_forked_map.py` alone."""
 
 import contextlib
 import os

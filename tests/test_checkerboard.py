@@ -680,6 +680,9 @@ class TestColumnsAgainstLoops:
         columns = KernelColumns.from_kernel(k)
         assert same_items(columns.as_kernel(), dict(sorted(k.items())))
 
+    def test_from_kernel_of_no_entries_is_empty(self):
+        assert KernelColumns.from_kernel({}) == KernelColumns([], [], [])
+
 
 # -- whole numpy arrays: the reference for the light-cone list stepping -------
 

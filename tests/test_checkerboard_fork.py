@@ -1,23 +1,23 @@
 """`checkerboard --method matrix` CSV and JSON formatted in two processes.
 
 Past `cli._FORK_ROW_BOUND` rows `_forked.forked_map` forks a child that
-formats the odd time slices while the parent formats the even ones.  The
-output must be the bytes of the one-process writer, no child or pipe end may
-outlive the command, and a child that fails or is killed may change nothing
-but the time: the parent formats every odd slice the pipe does not bring.
-The map's failure modes are also tested lattice-free, on small items, in
-`tests/test_forked_map.py`; here they are run through the command.  Most
-cases lower the bound so that small lattices fork, and a bound of 10**18
-gives the one-process bytes they are compared with.  Both writers are also
-checked against the general path: row dicts serialised by `rows_to_csv` or
-`canonical_json`.
+formats the odd time slices while the parent formats the even ones.  Here is
+what the command adds to the map: the output must be the bytes of the
+one-process writer, the bound and the method decide whether it forks, the
+child sends every odd slice, and a failing parent or a closed stdout leaves
+no child or pipe end behind.  The map's failure modes, a child that fails,
+lags or is killed and a fork that fails or is refused, are tested once, in
+`tests/test_forked_map.py`, on small texts and on the command's own slice
+stream.  Most cases lower the bound so that small lattices fork, and a bound
+of 10**18 gives the one-process bytes they are compared with.  Both writers
+are also checked against the general path: row dicts serialised by
+`rows_to_csv` or `canonical_json`.
 """
 
 import contextlib
 import io
 import math
 import os
-import signal
 import subprocess
 import sys
 from unittest import mock
@@ -31,10 +31,7 @@ from causetkit import checkerboard as cb
 from causetkit import cli
 from causetkit.checkerboard import KernelColumns
 from causetkit.cli import canonical_json, format_number, main, rows_to_csv
-from forkprobes import (
-    another_thread, counted_forks, needs_fork, needs_two_cpus, no_cpu_mask, nothing_left,
-    one_cpu, refuse_fork,
-)
+from forkprobes import counted_forks, needs_fork, needs_two_cpus, nothing_left, refuse_fork
 
 SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 ONE_PROCESS = 10**18
@@ -168,97 +165,6 @@ def test_the_svg_never_forks():
         assert run(["--steps", "12", "--emit", "svg"], 0)[0] == 0
 
 
-@needs_fork
-@pytest.mark.parametrize("context", [one_cpu, no_cpu_mask, another_thread])
-def test_the_fork_gate_keeps_one_process(context):
-    argv = ["--steps", "12", "--theta", "0.7"]
-    with context(), mock.patch.object(os, "fork", refuse_fork):
-        assert run(argv, 0) == run(argv, ONE_PROCESS)
-
-
-@needs_fork
-def test_a_failed_fork_formats_every_slice_here():
-    def fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    argv = ["--steps", "12", "--emit", "json"]
-    with nothing_left(), mock.patch.object(os, "fork", fork):
-        assert run(argv, 0) == run(argv, ONE_PROCESS)
-
-
-def fail_in_a_child(fail):
-    """KernelColumns.from_field calling `fail` in any process but this one, so
-    only in the forked child, whichever slices each process formats."""
-    real = KernelColumns.from_field
-    here = os.getpid()
-
-    def from_field(field):
-        cols = real(field)
-        if os.getpid() != here:
-            fail()
-        return cols
-
-    return from_field
-
-
-def out_of_memory():
-    raise MemoryError
-
-
-def killed():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def raises():
-    raise ValueError("not a slice")
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("emit", ["csv", "json"])
-@pytest.mark.parametrize("fail", [out_of_memory, killed, raises],
-                         ids=["memory", "signal", "exception"])
-def test_a_failing_child_changes_nothing_but_the_time(fail, emit):
-    argv = ["--steps", "12", "--emit", emit]
-    expected = run(argv, ONE_PROCESS)
-    with nothing_left(), counted_forks() as forks, \
-            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)):
-        assert run(argv, 0) == expected
-    assert len(forks) == 1
-
-
-@needs_two_cpus
-def test_the_parent_takes_the_childs_cpu_back_when_the_pipe_ends():
-    # the child is killed at its first slice, and the parent formats the
-    # rest on every CPU allowed, not pinned off the child's until the end
-    argv = ["--steps", "6"]
-    expected = run(argv, ONE_PROCESS)
-    cpus = os.sched_getaffinity(0)
-    real = cli._slice_text
-    here = os.getpid()
-    masks = {}
-
-    def slice_text(step, cols, emit):
-        if os.getpid() == here:
-            masks[step] = os.sched_getaffinity(0)
-        return real(step, cols, emit)
-
-    with nothing_left(), counted_forks() as forks, \
-            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(killed)), \
-            mock.patch.object(cli, "_slice_text", slice_text):
-        assert run(argv, 0) == expected
-    assert len(forks) == 1
-    assert masks == {0: cpus - {max(cpus)}, **{t: cpus for t in range(1, 7)}}
-
-
-@needs_fork
-def test_a_child_that_exits_nonzero_after_its_last_slice_changes_nothing():
-    argv = ["--steps", "12"]
-    expected = run(argv, ONE_PROCESS)
-    real_exit = os._exit
-    with nothing_left(), mock.patch.object(os, "_exit", lambda status: real_exit(5)):
-        assert run(argv, 0) == expected
-
-
 @needs_two_cpus
 def test_a_healthy_child_sends_every_odd_slice():
     # the parent would format a slice the child fails to send, so only this
@@ -291,27 +197,6 @@ def test_a_failing_parent_kills_and_reaps_the_child():
             mock.patch.object(KernelColumns, "from_field", from_field):
         code, _, err = run(["--steps", "12"], 0)
     assert (code, err, len(forks)) == (3, "error: checkerboard ran out of memory\n", 1)
-
-
-class ClosingStdout(io.StringIO):
-    """A stdout whose reader goes away after two chunks."""
-
-    def writelines(self, chunks):
-        for i, chunk in enumerate(chunks):
-            if i == 2:
-                raise BrokenPipeError(32, "Broken pipe")
-            self.write(chunk)
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("emit", ["csv", "json"])
-def test_abandoned_output_kills_and_reaps_the_child(emit):
-    err = io.StringIO()
-    with nothing_left(), mock.patch.object(cli, "_FORK_ROW_BOUND", 0), \
-            counted_forks() as forks, \
-            contextlib.redirect_stdout(ClosingStdout()), contextlib.redirect_stderr(err):
-        code = main(["checkerboard", "--steps", "300", "--emit", emit])
-    assert (code, err.getvalue(), len(forks)) == (2, "error: [Errno 32] Broken pipe\n", 1)
 
 
 @needs_fork

@@ -1,29 +1,37 @@
 """Influence sequences, zig-zag paths, and rate-based kinematics."""
 
+import contextlib
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetkit import (
     CapExceededError,
+    ChainValuation,
     InfluenceSequence,
     LinearRelation,
     UnorderedInfluenceCount,
+    build_poset,
     count_orderings,
     enumerate_orderings,
     kinematic_state,
     path_rows,
+    quantification_rows,
     random_sequence,
     rates,
+    save_poset,
     sequence_to_path,
     transform_energy_momentum,
     transform_rates,
 )
+from causetkit.cli import main
 from causetkit.exact import Surd, collapse, sqrt_exact
 from conftest import bits
 
@@ -402,3 +410,46 @@ class TestSequenceType:
     def test_initial_helicity_validated(self):
         with pytest.raises(ValueError):
             InfluenceSequence(("P",), "R")
+
+
+def particle_poset(moves):
+    """The particle's influence poset: a chain X of events x0..xn and observer
+    chains P and Q.  Move i+1 is an edge from x{i} to the next unused event of
+    the chain it names, and x{n} also influences the next unused event of
+    each chain, so that every x{i} projects onto both."""
+    n = len(moves)
+    used = {"P": 0, "Q": 0}
+    edges = []
+    for i, chain in enumerate(moves + "PQ"):
+        edges.append((f"x{min(i, n)}", f"{chain.lower()}{used[chain]}"))
+        used[chain] += 1
+    chains = {"X": [f"x{i}" for i in range(n + 1)],
+              **{c: [f"{c.lower()}{k}" for k in range(used[c])] for c in "PQ"}}
+    return build_poset([(e, c) for c, order in chains.items() for e in order], chains, edges)
+
+
+def cli_csv(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+@settings(deadline=None)
+@given(moves=st.text("PQ", max_size=60))
+def test_the_quantified_influence_poset_is_the_path(tmp_path_factory, moves):
+    # the paper's particle simply influences two observers; the times and
+    # places they assign its events are the zig-zag path of its moves
+    poset = particle_poset(moves)
+    rows = quantification_rows(poset, ChainValuation.from_poset(poset, "P"),
+                               ChainValuation.from_poset(poset, "Q"))
+    points = {row["event_id"]: (row["t"], row["x"]) for row in rows}
+    path = sequence_to_path(InfluenceSequence.from_string(moves))
+    assert [points[f"x{i}"] for i in range(len(moves) + 1)] == list(path.points)
+
+    document = str(tmp_path_factory.mktemp("poset") / "particle.json")
+    save_poset(poset, document)
+    cells = {row["event_id"]: (row["t"], row["x"])
+             for row in cli_csv(["quantify", document, "--chain", "P", "--chain2", "Q"])}
+    particle = cli_csv(["particle", "--sequence", moves, "--emit", "csv"])
+    assert [cells[f"x{i}"] for i in range(len(moves) + 1)] == [(r["t"], r["x"]) for r in particle]
