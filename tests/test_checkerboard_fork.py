@@ -4,11 +4,12 @@ Past `cli._FORK_ROW_BOUND` rows `_forked.forked_map` forks a child that
 formats the odd time slices while the parent formats the even ones.  Here is
 what the command adds to the map: the output must be the bytes of the
 one-process writer, the bound and the method decide whether it forks, the
-child sends every odd slice, and a failing parent or a closed stdout leaves
-no child or pipe end behind.  The map's failure modes, a child that fails,
-lags or is killed and a fork that fails or is refused, are tested once, in
-`tests/test_forked_map.py`, on small texts and on the command's own slice
-stream.  Most cases lower the bound so that small lattices fork, and a bound
+child sends every odd slice, a child killed at its first slice changes
+nothing but the time and gives its CPU back to the parent, and a failing
+parent or a closed stdout leaves no child or pipe end behind.  The map's
+other failure modes, a child that fails or lags and a fork that fails or is
+refused, are tested once, in `tests/test_forked_map.py`, on small texts and
+on the command's own slice stream.  Most cases lower the bound so that small lattices fork, and a bound
 of 10**18 gives the one-process bytes they are compared with.  Both writers
 are also checked against the general path: row dicts serialised by
 `rows_to_csv` or `canonical_json`.
@@ -18,6 +19,7 @@ import contextlib
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 from unittest import mock
@@ -163,6 +165,60 @@ def test_only_the_matrix_method_forks(method):
 def test_the_svg_never_forks():
     with mock.patch.object(os, "fork", refuse_fork):
         assert run(["--steps", "12", "--emit", "svg"], 0)[0] == 0
+
+
+def fail_in_a_child(fail):
+    """KernelColumns.from_field calling `fail` in any process but this one, so
+    only in the forked child, whichever slices each process formats."""
+    real = KernelColumns.from_field
+    here = os.getpid()
+
+    def from_field(field):
+        cols = real(field)
+        if os.getpid() != here:
+            fail()
+        return cols
+
+    return from_field
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fail, emit", [pytest.param(killed, "csv", id="signal-csv")])
+def test_a_failing_child_changes_nothing_but_the_time(fail, emit):
+    argv = ["--steps", "12", "--emit", emit]
+    expected = run(argv, ONE_PROCESS)
+    with nothing_left(), counted_forks() as forks, \
+            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)):
+        assert run(argv, 0) == expected
+    assert len(forks) == 1
+
+
+@needs_two_cpus
+def test_the_parent_takes_the_childs_cpu_back_when_the_pipe_ends():
+    # the child is killed at its first slice, and the parent formats the
+    # rest on every CPU allowed, not pinned off the child's until the end
+    argv = ["--steps", "6"]
+    expected = run(argv, ONE_PROCESS)
+    cpus = os.sched_getaffinity(0)
+    real = cli._slice_text
+    here = os.getpid()
+    masks = {}
+
+    def slice_text(step, cols, emit):
+        if os.getpid() == here:
+            masks[step] = os.sched_getaffinity(0)
+        return real(step, cols, emit)
+
+    with nothing_left(), counted_forks() as forks, \
+            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(killed)), \
+            mock.patch.object(cli, "_slice_text", slice_text):
+        assert run(argv, 0) == expected
+    assert len(forks) == 1
+    assert masks == {0: cpus - {max(cpus)}, **{t: cpus for t in range(1, 7)}}
 
 
 @needs_two_cpus
