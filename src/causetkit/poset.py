@@ -4,7 +4,8 @@ Each particle is a totally ordered chain of events.  An influence edge orders
 an event on one chain before an event on another.  The union of chain-successor
 edges and influence edges, closed transitively, is the causal order.
 `build_poset` resolves each event id to an index once and builds the successor
-and predecessor lists as it checks them.  Two linear sweeps per chain give the
+lists as it checks them; the predecessor lists are their transpose, made when a
+sweep back first needs them.  Two linear sweeps per chain give the
 projections onto it, cached on the poset at any size.  One byte per event
 records whether it sits on its chain's order: if y does, x precedes y when x's
 forward projection onto y's chain sits at or before y's own, and if not, when
@@ -55,19 +56,19 @@ class CausalPoset:
         "_index",
         "_succ",
         "_order",
-        "_pred",
+        "_preds",
         "_placed",
         "_projections",
     )
 
-    def __init__(self, events, chain_of, chains, influence_edges, index, succ, pred, placed):
+    def __init__(self, events, chain_of, chains, influence_edges, index, succ, placed):
         self.events: tuple[EventId, ...] = events
         self.chain_of: dict[EventId, str] = chain_of
         self.chains: dict[str, tuple[EventId, ...]] = chains
         self.influence_edges: tuple[tuple[EventId, EventId], ...] = influence_edges
         self._index: dict[EventId, int] = index
         self._succ: list[list[int]] = succ
-        self._pred: list[list[int]] = pred
+        self._preds: list[list[int]] | None = None  # _succ's transpose, made when first asked for
         # per event index, 1 if the event is on its chain's order
         self._placed: bytearray = placed
         self._order: tuple[int, ...] | None = None  # Kahn's order, made when first asked for
@@ -82,9 +83,24 @@ class CausalPoset:
             self._order = self._topological_order()
         return self._order
 
+    @property
+    def _pred(self) -> list[list[int]]:
+        # only forward projections and leq of an unplaced event sweep back, so
+        # validate never makes these lists; filling the cache is idempotent
+        if self._preds is None:
+            pred: list[list[int]] = [[] for _ in self._succ]
+            for v, targets in enumerate(self._succ):
+                for t in targets:
+                    pred[t].append(v)
+            self._preds = pred
+        return self._preds
+
     def _topological_order(self) -> tuple[int, ...]:
         """Kahn's algorithm; on a cyclic relation, the prefix it can order."""
-        indegree = list(map(len, self._pred))
+        indegree = [0] * len(self._succ)
+        for targets in self._succ:
+            for t in targets:
+                indegree[t] += 1
         ready = deque(i for i, d in enumerate(indegree) if d == 0)
         order = []
         while ready:
@@ -208,7 +224,6 @@ def build_poset(
         chain_of[event] = chain
     index = {event: i for i, event in enumerate(chain_of)}
     succ: list[list[int]] = [[] for _ in index]
-    pred: list[list[int]] = [[] for _ in index]
 
     chain_orders: dict[str, tuple[EventId, ...]] = {}
     placed = bytearray(len(index))
@@ -232,7 +247,6 @@ def build_poset(
             placed[i] = 1
             if prev is not None:
                 succ[prev].append(i)
-                pred[i].append(prev)
             prev = i
         chain_orders[chain] = order
 
@@ -250,11 +264,10 @@ def build_poset(
                 f"unresolved EventId in influence edge: {src if i is None else dst!r}"
             )
         succ[i].append(j)
-        pred[j].append(i)
         edges.append((src, dst))
 
     return CausalPoset(
-        tuple(chain_of), chain_of, chain_orders, tuple(edges), index, succ, pred, placed
+        tuple(chain_of), chain_of, chain_orders, tuple(edges), index, succ, placed
     )
 
 

@@ -1,14 +1,41 @@
-"""Shared poset builders for the test suite."""
+"""Shared poset builders and command runners for the test suite."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
-from causetkit import build_poset
+import causetkit
+from causetkit import build_poset, cli, save_poset
+
+# the directory causetkit is imported from, for PYTHONPATH in a fresh interpreter
+SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
+
+
+def run_python(*args, **kwargs):
+    """`python *args` in a fresh interpreter that imports causetkit from SRC,
+    its output captured (as text unless `text=False`): the completed process,
+    once it has exited with status 0."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, **{"text": True, **kwargs})
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_cli(argv):
+    """`cli.main(argv)` in this process: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def bfs_reachable(events, chains, influence, x, y):
@@ -142,3 +169,11 @@ def unruly_posets(draw):
 @pytest.fixture
 def ladder():
     return ladder_poset()
+
+
+@pytest.fixture
+def ladder_file(tmp_path):
+    """The path of `ladder_poset()`'s document, saved as `ladder.json`."""
+    path = tmp_path / "ladder.json"
+    save_poset(ladder_poset(), str(path))
+    return str(path)

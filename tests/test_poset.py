@@ -179,6 +179,18 @@ class TestValidate:
         assert topological_order(poset) == topological_order(poset)
         assert len(calls) == 1
 
+    def test_validate_leaves_the_predecessor_lists_unbuilt(self, ladder_file):
+        # Kahn's algorithm counts in-degrees from the successor lists; only a
+        # sweep back, as a forward projection makes, builds the predecessor lists
+        poset = load_poset(ladder_file)
+        assert validate(poset).ok
+        assert poset._preds is None
+        for chain, order in poset.chains.items():
+            for x in poset.events:
+                above = [y for y in order if poset_reachable(poset, x, y)]
+                assert forward_project(poset, chain, x).event == (above[0] if above else None)
+        assert poset._preds is not None
+
 
 class TestReportTypes:
     """Violation and ValidationReport: repr, hash, equality, immutability."""
