@@ -24,8 +24,9 @@ def run_python(*args, **kwargs):
     """`python *args` in a fresh interpreter that imports causetkit from SRC,
     its output captured (as text unless `text=False`): the completed process,
     once it has exited with status 0."""
+    kwargs.setdefault("text", True)
     proc = subprocess.run([sys.executable, *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": SRC}, **{"text": True, **kwargs})
+                          env={**os.environ, "PYTHONPATH": SRC}, **kwargs)
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -4,11 +4,14 @@ by that operation's own check, with no timing.
 `perfbench/` is only read.  Its modules are imported without writing
 bytecode, the `quantify-posets` inputs are written to a temporary directory,
 and each operation runs here as `python -m causetkit.cli` rather than through
-`run.run_op`, which writes its output under `perfbench/out`.
+`run.run_op`, which writes its output under `perfbench/out`.  Each
+workload's reference figures, `BENCH_<workload>.json` at the repository
+root, are checked for their form, not for any timing.
 """
 
 import contextlib
 import importlib
+import json
 import os
 import random
 import subprocess
@@ -17,8 +20,8 @@ from unittest import mock
 
 import pytest
 
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "perfbench")
 SEED = 1
 
 
@@ -65,3 +68,21 @@ def test_every_operation_passes_its_check(workload, inputs, tmp_path):
             failures.append(f"{op.name}: {type(exc).__name__}: {exc}"[:300])
     assert ops
     assert failures == []
+
+
+def test_every_workload_has_its_reference_file():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    names = sorted(workload["name"] for workload in benchmark["workloads"])
+    assert sorted(name for name in os.listdir(ROOT) if name.startswith("BENCH_")) == [
+        f"BENCH_{name}.json" for name in names
+    ]
+    units = {metric["name"]: metric["unit"] for metric in benchmark["end_to_end"]}
+    for name in names:
+        with open(os.path.join(ROOT, f"BENCH_{name}.json"), encoding="utf-8") as fh:
+            reference = json.load(fh)
+        assert reference["workload"] == name
+        metrics = reference["metrics"]
+        assert {metric: figures["unit"] for metric, figures in metrics.items()} == units
+        for figures in metrics.values():
+            assert figures["q1"] <= figures["median"] <= figures["q3"]

@@ -15,8 +15,6 @@ are also checked against the general path: row dicts serialised by
 `rows_to_csv` or `canonical_json`.
 """
 
-import contextlib
-import io
 import math
 import os
 import signal
@@ -28,14 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import causetkit
 from causetkit import checkerboard as cb
 from causetkit import cli
 from causetkit.checkerboard import KernelColumns
-from causetkit.cli import canonical_json, format_number, main, rows_to_csv
+from causetkit.cli import canonical_json, format_number, rows_to_csv
+from conftest import SRC, run_cli
 from forkprobes import counted_forks, needs_fork, needs_two_cpus, nothing_left, refuse_fork
 
-SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 ONE_PROCESS = 10**18
 # the row bound of 8 steps, (8 + 1) * (8 + 2)
 LOW_BOUND = 90
@@ -44,18 +41,16 @@ LOW_BOUND = 90
 def run(argv, bound, outdir=None):
     """main(["checkerboard", *argv]) with the fork bound at `bound`: the exit
     code, the artifact's text and stderr."""
-    out, err = io.StringIO(), io.StringIO()
     argv = ["checkerboard", *argv] + (["--outdir", outdir] if outdir else [])
-    with mock.patch.object(cli, "_FORK_ROW_BOUND", bound), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with mock.patch.object(cli, "_FORK_ROW_BOUND", bound):
+        code, out, err = run_cli(argv)
     if outdir is None:
-        return code, out.getvalue(), err.getvalue()
+        return code, out, err
     emit = argv[argv.index("--emit") + 1] if "--emit" in argv else "csv"
     path = os.path.join(outdir, f"checkerboard.{emit}")
-    assert out.getvalue() == path + "\n"
+    assert out == path + "\n"
     with open(path, encoding="utf-8") as fh:
-        return code, fh.read(), err.getvalue()
+        return code, fh.read(), err
 
 
 # angles in [0, pi/2], where both propagator magnitudes are nonnegative

@@ -8,13 +8,11 @@ amplitudes whose probability underflows to 0 (theta pi/2), the mass bridge
 with a Q source, and the path-sum and comparison methods.
 """
 
-import contextlib
 import hashlib
-import io
 
 import pytest
 
-from causetkit.cli import main
+from conftest import run_cli
 
 MASS_Q = ("--mass", "0.37", "--eps", "0.61", "--initial", "Q")
 QUARTER_TURN_Q = ("--theta", "1.5707963267948966", "--initial", "Q")
@@ -69,9 +67,7 @@ GOLDEN = [
     "argv, digest, stderr", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
 )
 def test_checkerboard_output_is_pinned(argv, digest, stderr):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["checkerboard", *argv])
+    code, out, err = run_cli(["checkerboard", *argv])
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
-    assert err.getvalue() == stderr
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == stderr

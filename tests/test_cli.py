@@ -13,19 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-import causetkit
 from causetkit import ChainValuation, build_poset, quantification_rows, save_poset
 from causetkit.cli import main, rows_to_csv
-from conftest import ladder_poset
-
-SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
-
-
-@pytest.fixture
-def ladder_file(tmp_path):
-    path = tmp_path / "ladder.json"
-    save_poset(ladder_poset(), str(path))
-    return str(path)
+from conftest import SRC, ladder_poset, run_cli
 
 
 @pytest.fixture
@@ -41,24 +31,18 @@ def cyclic_file(tmp_path):
     return str(path)
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestValidateCommand:
-    def test_valid_file_exits_zero(self, capsys, ladder_file):
-        code, out, _ = run(capsys, "validate", ladder_file)
+    def test_valid_file_exits_zero(self, ladder_file):
+        code, out, _ = run_cli(["validate", ladder_file])
         assert code == 0
         assert "ok" in out
 
-    def test_cyclic_file_exits_one_and_names_events(self, capsys, cyclic_file):
-        code, out, _ = run(capsys, "validate", cyclic_file)
+    def test_cyclic_file_exits_one_and_names_events(self, cyclic_file):
+        code, out, _ = run_cli(["validate", cyclic_file])
         assert code == 1
         assert "cycle" in out
         assert "'a'" in out and "'b'" in out
@@ -72,19 +56,19 @@ class TestValidateCommand:
         assert "unrecognized arguments: --outdir" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_missing_file_exits_two(self, capsys, tmp_path):
-        code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
+    def test_missing_file_exits_two(self, tmp_path):
+        code, _, err = run_cli(["validate", str(tmp_path / "missing.json")])
         assert code == 2
         assert "error" in err
 
-    def test_malformed_file_exits_two(self, capsys, tmp_path):
+    def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
-        code, _, _ = run(capsys, "validate", str(path))
+        code, _, _ = run_cli(["validate", str(path)])
         assert code == 2
 
-    def test_json_report(self, capsys, cyclic_file):
-        code, out, _ = run(capsys, "validate", cyclic_file, "--emit", "json")
+    def test_json_report(self, cyclic_file):
+        code, out, _ = run_cli(["validate", cyclic_file, "--emit", "json"])
         assert code == 1
         doc = json.loads(out)
         assert doc["ok"] is False
@@ -94,7 +78,7 @@ class TestValidateCommand:
         ("text", "5c97200c108196af8c89510820c3d50dc61a55baf62612e57d66d14755ae4d71"),
         ("json", "4114ac2e534db7911cad3f22649aec1422865845888785c28bcf82177479760d"),
     ])
-    def test_report_of_every_rule_is_pinned(self, capsys, tmp_path, emit, digest):
+    def test_report_of_every_rule_is_pinned(self, tmp_path, emit, digest):
         # two intra-chain edges, a cycle through both chains and an event
         # missing from its chain's order; ids that repr and JSON escape
         doc = {
@@ -109,14 +93,14 @@ class TestValidateCommand:
         }
         path = tmp_path / "every_rule.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "validate", str(path), "--emit", emit)
+        code, out, err = run_cli(["validate", str(path), "--emit", emit])
         assert (code, err) == (1, "")
         assert out.count("intra-chain-influence") == 2
         assert "cycle" in out and "chain-not-total" in out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("bad_id", [[1], 1])
-    def test_non_string_id_exits_two(self, capsys, tmp_path, bad_id):
+    def test_non_string_id_exits_two(self, tmp_path, bad_id):
         doc = {
             "version": 1,
             "events": [{"id": bad_id, "chain": "P"}],
@@ -125,7 +109,7 @@ class TestValidateCommand:
         }
         path = tmp_path / "bad_id.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "validate", str(path))
+        code, _, err = run_cli(["validate", str(path)])
         assert code == 2
         assert "must be strings" in err
 
@@ -133,9 +117,7 @@ class TestValidateCommand:
         "field, value",
         [("chains", {"P": "ab"}), ("influence", ["ab"]), ("influence", {"ab": 1})],
     )
-    def test_string_or_object_where_array_expected_exits_two(
-        self, capsys, tmp_path, field, value
-    ):
+    def test_string_or_object_where_array_expected_exits_two(self, tmp_path, field, value):
         doc = {
             "version": 1,
             "events": [{"id": "a", "chain": "P"}, {"id": "b", "chain": "P"}],
@@ -145,13 +127,13 @@ class TestValidateCommand:
         doc[field] = value
         path = tmp_path / "not_arrays.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "validate", str(path))
+        code, out, err = run_cli(["validate", str(path)])
         assert code == 2
         assert out == ""
         assert "must be arrays" in err
 
     @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
-    def test_version_other_than_int_one_exits_two(self, capsys, tmp_path, version):
+    def test_version_other_than_int_one_exits_two(self, tmp_path, version):
         doc = {
             "version": version,
             "events": [{"id": "a", "chain": "P"}],
@@ -160,37 +142,37 @@ class TestValidateCommand:
         }
         path = tmp_path / "version.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "validate", str(path))
+        code, out, err = run_cli(["validate", str(path)])
         assert code == 2
         assert out == ""
         assert err == f"error: schema-version mismatch: got {version!r}, expected 1\n"
 
-    def test_unknown_key_warns_in_one_line(self, capsys, tmp_path, ladder_file):
+    def test_unknown_key_warns_in_one_line(self, tmp_path, ladder_file):
         with open(ladder_file) as fh:
             doc = json.load(fh)
         doc["extra"] = {"note": 1}
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(doc))
-        plain = run(capsys, "validate", ladder_file)
-        code, out, err = run(capsys, "validate", str(path))
+        plain = run_cli(["validate", ladder_file])
+        code, out, err = run_cli(["validate", str(path)])
         assert (code, out) == plain[:2]
         assert err == "warning: ignoring unknown poset document keys: extra\n"
 
     @pytest.mark.parametrize(
         "data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf-8", "deep"]
     )
-    def test_unreadable_document_exits_two(self, capsys, tmp_path, data):
+    def test_unreadable_document_exits_two(self, tmp_path, data):
         path = tmp_path / "unreadable.json"
         path.write_bytes(data)
-        code, out, err = run(capsys, "validate", str(path))
+        code, out, err = run_cli(["validate", str(path)])
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed poset document")
 
-    def test_chains_not_an_object_exits_two(self, capsys, tmp_path):
+    def test_chains_not_an_object_exits_two(self, tmp_path):
         path = tmp_path / "bad_chains.json"
         path.write_text(json.dumps({"version": 1, "events": [], "chains": [], "influence": []}))
-        code, _, err = run(capsys, "validate", str(path))
+        code, _, err = run_cli(["validate", str(path)])
         assert code == 2
         assert "malformed poset document" in err
 
@@ -227,10 +209,8 @@ class TestValidateCommand:
 
 
 class TestQuantifyCommand:
-    def test_coordinated_table(self, capsys, ladder_file):
-        code, out, _ = run(
-            capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "Q"
-        )
+    def test_coordinated_table(self, ladder_file):
+        code, out, _ = run_cli(["quantify", ladder_file, "--chain", "P", "--chain2", "Q"])
         assert code == 0
         rows = {row["event_id"]: row for row in parse_csv(out)}
         assert rows["p0"]["t"] == "1"
@@ -240,49 +220,47 @@ class TestQuantifyCommand:
         assert rows["q7"]["p_fwd"] == ""
         assert rows["q7"]["t"] == ""
 
-    def test_single_chain_pairs(self, capsys, ladder_file):
-        code, out, _ = run(capsys, "quantify", ladder_file, "--chain", "P")
+    def test_single_chain_pairs(self, ladder_file):
+        code, out, _ = run_cli(["quantify", ladder_file, "--chain", "P"])
         assert code == 0
         rows = {row["event_id"]: row for row in parse_csv(out)}
         assert rows["q3"]["p_fwd"] == "5"
         assert rows["q3"]["p_bwd"] == "1"
         assert rows["q3"]["q_fwd"] == ""
 
-    def test_fractional_unit(self, capsys, ladder_file):
-        code, out, _ = run(
-            capsys, "quantify", ladder_file, "--chain", "P", "--mu", "1/2"
-        )
+    def test_fractional_unit(self, ladder_file):
+        code, out, _ = run_cli(["quantify", ladder_file, "--chain", "P", "--mu", "1/2"])
         rows = {row["event_id"]: row for row in parse_csv(out)}
         assert rows["p7"]["p_fwd"] == "3.5"
 
-    def test_negative_unit_as_separate_argument(self, capsys, ladder_file):
+    def test_negative_unit_as_separate_argument(self, ladder_file):
         # argparse by itself reads "-3/7" as an unknown option, not as the value
         flags = ("quantify", ladder_file, "--chain", "P", "--chain2", "Q")
-        separate = run(capsys, *flags, "--mu", "-3/7")
-        assert separate == run(capsys, *flags, "--mu=-3/7")
+        separate = run_cli([*flags, "--mu", "-3/7"])
+        assert separate == run_cli([*flags, "--mu=-3/7"])
         assert separate[0] == 0
 
     @pytest.mark.parametrize("mu", ["1/0", "0/0", "abc"])
-    def test_bad_unit_exits_one(self, capsys, ladder_file, mu):
-        code, out, err = run(capsys, "quantify", ladder_file, "--chain", "P", "--mu", mu)
+    def test_bad_unit_exits_one(self, ladder_file, mu):
+        code, out, err = run_cli(["quantify", ladder_file, "--chain", "P", "--mu", mu])
         assert code == 1
         assert out == ""
         assert err == f"error: --mu expects a rational number such as 3/2, got {mu!r}\n"
 
     @pytest.mark.parametrize("emit", ["csv", "json"])
-    def test_unit_past_float_range_exits_one(self, capsys, ladder_file, emit):
-        code, out, err = run(
-            capsys, "quantify", ladder_file, "--chain", "P", "--mu", "1e400", "--emit", emit
+    def test_unit_past_float_range_exits_one(self, ladder_file, emit):
+        code, out, err = run_cli(
+            ["quantify", ladder_file, "--chain", "P", "--mu", "1e400", "--emit", emit]
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_unknown_chain_exits_one(self, capsys, ladder_file):
-        code, _, err = run(capsys, "quantify", ladder_file, "--chain", "Z")
+    def test_unknown_chain_exits_one(self, ladder_file):
+        code, _, err = run_cli(["quantify", ladder_file, "--chain", "Z"])
         assert code == 1
         assert "unknown chain" in err
 
-    def test_empty_second_chain_id_names_a_chain(self, capsys, tmp_path):
+    def test_empty_second_chain_id_names_a_chain(self, tmp_path):
         # "" is a chain id like any other, so the rows are coordinated ones
         poset = build_poset(
             [("p0", "P"), ("p1", "P"), ("e0", ""), ("e1", "")],
@@ -295,25 +273,24 @@ class TestQuantifyCommand:
             poset, ChainValuation.from_poset(poset, "P"), ChainValuation.from_poset(poset, "")
         )
         expected = rows_to_csv(rows, ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"])
-        code, out, _ = run(capsys, "quantify", str(path), "--chain", "P", "--chain2", "")
+        code, out, _ = run_cli(["quantify", str(path), "--chain", "P", "--chain2", ""])
         assert (code, out) == (0, expected)
         assert "p0,0,0,1,,0.5,-0.5\n" in out
 
-    def test_empty_second_chain_id_unknown_exits_one(self, capsys, ladder_file):
-        code, out, err = run(capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "")
+    def test_empty_second_chain_id_unknown_exits_one(self, ladder_file):
+        code, out, err = run_cli(["quantify", ladder_file, "--chain", "P", "--chain2", ""])
         assert (code, out) == (1, "")
         assert "unknown chain id: ''" in err
 
-    def test_json_emission(self, capsys, ladder_file):
-        code, out, _ = run(
-            capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "Q",
-            "--emit", "json",
+    def test_json_emission(self, ladder_file):
+        code, out, _ = run_cli(
+            ["quantify", ladder_file, "--chain", "P", "--chain2", "Q", "--emit", "json"]
         )
         doc = json.loads(out)
         assert doc["chain"] == "P"
         assert doc["rows"][0]["event_id"] == "p0"
 
-    def test_json_escapes_control_characters(self, capsys, tmp_path):
+    def test_json_escapes_control_characters(self, tmp_path):
         ids = ["line\nbreak", "tab\tbed", "ctl\x01", 'quote"back\\slash', "ünï"]
         doc = {
             "version": 1,
@@ -323,34 +300,34 @@ class TestQuantifyCommand:
         }
         path = tmp_path / "odd_ids.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "quantify", str(path), "--chain", "P", "--emit", "json")
+        code, out, _ = run_cli(["quantify", str(path), "--chain", "P", "--emit", "json"])
         assert code == 0
         assert [row["event_id"] for row in json.loads(out)["rows"]] == ids
 
-    def test_byte_identical_reruns(self, capsys, ladder_file):
-        _, first, _ = run(capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "Q")
-        _, second, _ = run(capsys, "quantify", ladder_file, "--chain", "P", "--chain2", "Q")
+    def test_byte_identical_reruns(self, ladder_file):
+        _, first, _ = run_cli(["quantify", ladder_file, "--chain", "P", "--chain2", "Q"])
+        _, second, _ = run_cli(["quantify", ladder_file, "--chain", "P", "--chain2", "Q"])
         assert first == second
 
 
 class TestParticleCommand:
-    def test_counts_reports_orderings(self, capsys):
-        code, out, _ = run(capsys, "particle", "--counts", "3,2")
+    def test_counts_reports_orderings(self):
+        code, out, _ = run_cli(["particle", "--counts", "3,2"])
         assert code == 0
         doc = json.loads(out)
         assert doc["orderings"] == 10
         assert doc["counts"] == {"P": 3, "Q": 2}
 
-    def test_orderings_past_int_string_limit(self, capsys):
+    def test_orderings_past_int_string_limit(self):
         # C(14600, 7300) has 4,393 digits, past str(int)'s default limit
-        code, out, _ = run(capsys, "particle", "--counts", "7300,7300")
+        code, out, _ = run_cli(["particle", "--counts", "7300,7300"])
         assert code == 0
         digits = json.loads(out, parse_int=str)["orderings"]
         assert len(digits) > 4300
         assert decimal.Decimal(digits) == math.comb(14600, 7300)
 
-    def test_sequence_path_csv(self, capsys):
-        code, out, _ = run(capsys, "particle", "--sequence", "PPQ", "--emit", "csv")
+    def test_sequence_path_csv(self):
+        code, out, _ = run_cli(["particle", "--sequence", "PPQ", "--emit", "csv"])
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 4  # origin plus three segments
@@ -360,10 +337,9 @@ class TestParticleCommand:
         assert rows[3]["x"] == "0.5"
         assert rows[3]["beta"] == "-1"
 
-    def test_kinematics_report(self, capsys):
-        code, out, _ = run(
-            capsys, "particle", "--counts", "3,2", "--dp", "5", "--dq", "2",
-            "--events", "10",
+    def test_kinematics_report(self):
+        code, out, _ = run_cli(
+            ["particle", "--counts", "3,2", "--dp", "5", "--dq", "2", "--events", "10"]
         )
         doc = json.loads(out)
         kin = doc["kinematics"]
@@ -377,18 +353,18 @@ class TestParticleCommand:
         ("1e300", "3e300", 5.773502691896258e-300),
         ("1e-300", "3e-300", 5.773502691896257e300),
     ])
-    def test_mass_in_the_float_range_whatever_its_square(self, capsys, dp, dq, mass):
+    def test_mass_in_the_float_range_whatever_its_square(self, dp, dq, mass):
         # M = sqrt(rP * rQ), where rP * rQ underflows or overflows a float
-        code, out, _ = run(capsys, "particle", "--counts", "5,5", "--dp", dp, "--dq", dq)
+        code, out, _ = run_cli(["particle", "--counts", "5,5", "--dp", dp, "--dq", dq])
         kin = json.loads(out)["kinematics"]
         assert (code, kin["M"]) == (0, mass)
         e, p, m = (Fraction(kin[key]) for key in "EpM")
         assert math.isclose((e * e - p * p) / (m * m), 1, rel_tol=1e-15)
 
-    def test_random_is_seed_deterministic(self, capsys):
+    def test_random_is_seed_deterministic(self):
         args = ("particle", "--random", "32", "0.5", "99")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
+        _, first, _ = run_cli(args)
+        _, second, _ = run_cli(args)
         assert first == second
         doc = json.loads(first)
         assert doc["seed"] == 99
@@ -398,37 +374,37 @@ class TestParticleCommand:
         ("--random", "50", "0.5", "7", "--dp", "3", "--dq", "2"),
         ("--sequence", "PQQP", "--emit", "csv"),
     ])
-    def test_initial_helicity_changes_no_byte(self, capsys, source):
-        plain = run(capsys, "particle", *source)
+    def test_initial_helicity_changes_no_byte(self, source):
+        plain = run_cli(["particle", *source])
         assert plain[0] == 0
         for helicity in ("P", "Q"):
-            assert run(capsys, "particle", *source, "--initial-helicity", helicity) == plain
+            assert run_cli(["particle", *source, "--initial-helicity", helicity]) == plain
 
     @pytest.mark.parametrize(
         "values", [("1e3", "0.5", "1"), ("10", "0.5", "1.5"), ("10", "half", "1")]
     )
-    def test_malformed_random_names_the_flag(self, capsys, values):
-        code, out, err = run(capsys, "particle", "--random", *values)
+    def test_malformed_random_names_the_flag(self, values):
+        code, out, err = run_cli(["particle", "--random", *values])
         assert (code, out) == (1, "")
         assert err.startswith("error: --random expects LENGTH PROB_P SEED")
         assert err.endswith(f", got {' '.join(values)!r}\n") and err.count("\n") == 1
 
-    def test_source_flags_mutually_exclusive(self, capsys):
-        code, _, err = run(capsys, "particle", "--counts", "1,1", "--sequence", "PQ")
+    def test_source_flags_mutually_exclusive(self):
+        code, _, err = run_cli(["particle", "--counts", "1,1", "--sequence", "PQ"])
         assert code == 1
         assert "mutually exclusive" in err
 
-    def test_requires_some_source(self, capsys):
-        code, _, _ = run(capsys, "particle")
+    def test_requires_some_source(self):
+        code, _, _ = run_cli(["particle"])
         assert code == 1
 
-    def test_csv_without_sequence_fails(self, capsys):
-        code, _, err = run(capsys, "particle", "--counts", "2,2", "--emit", "csv")
+    def test_csv_without_sequence_fails(self):
+        code, _, err = run_cli(["particle", "--counts", "2,2", "--emit", "csv"])
         assert code == 1
         assert "requires" in err
 
-    def test_zero_denominator_length_exits_one(self, capsys):
-        code, _, err = run(capsys, "particle", "--counts", "2,2", "--dp", "3", "--dq", "1/0")
+    def test_zero_denominator_length_exits_one(self):
+        code, _, err = run_cli(["particle", "--counts", "2,2", "--dp", "3", "--dq", "1/0"])
         assert code == 1
         assert "--dq expects a rational number" in err
 
@@ -437,18 +413,18 @@ class TestParticleCommand:
         ("--sequence", "PPPQ"),
         ("--sequence", "PPPQ", "--emit", "csv"),
     ])
-    def test_rate_past_float_range_exits_one(self, capsys, source):
-        code, out, err = run(capsys, "particle", *source, "--dp", "1e-400", "--dq", "1")
+    def test_rate_past_float_range_exits_one(self, source):
+        code, out, err = run_cli(["particle", *source, "--dp", "1e-400", "--dq", "1"])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_negative_length_as_separate_argument(self, capsys):
-        code, out, err = run(capsys, "particle", "--counts", "3,2", "--dp", "-3/2", "--dq", "1")
+    def test_negative_length_as_separate_argument(self):
+        code, out, err = run_cli(["particle", "--counts", "3,2", "--dp", "-3/2", "--dq", "1"])
         assert (code, out) == (1, "")
         assert "projected lengths must be positive" in err
 
-    def test_dp_without_dq_fails(self, capsys):
-        code, _, _ = run(capsys, "particle", "--counts", "2,2", "--dp", "3")
+    def test_dp_without_dq_fails(self):
+        code, _, _ = run_cli(["particle", "--counts", "2,2", "--dp", "3"])
         assert code == 1
 
     @pytest.mark.parametrize("flag, at_cap, past_cap, emit", [
@@ -460,8 +436,8 @@ class TestParticleCommand:
         ("--sequence", ["PQ" * 50000], ["PQ" * 50000 + "P"], "csv"),
         ("--sequence", ["PQ" * 50000], ["PQ" * 50000 + "P"], "json"),
     ])
-    def test_move_cap_both_sides(self, capsys, monkeypatch, flag, at_cap, past_cap, emit):
-        code, out, err = run(capsys, "particle", flag, *at_cap, "--emit", emit)
+    def test_move_cap_both_sides(self, monkeypatch, flag, at_cap, past_cap, emit):
+        code, out, err = run_cli(["particle", flag, *at_cap, "--emit", emit])
         assert (code, err) == (0, "")
         # a header, the origin and one row per move, or one JSON line
         assert out.count("\n") == (100_002 if emit == "csv" else 1)
@@ -475,11 +451,11 @@ class TestParticleCommand:
         monkeypatch.setattr(kinematics, "random_sequence", no_work)
         monkeypatch.setattr(kinematics, "count_orderings", no_work)
         monkeypatch.setattr(kinematics.InfluenceSequence, "from_string", no_work)
-        code, out, err = run(capsys, "particle", flag, *past_cap, "--emit", emit)
+        code, out, err = run_cli(["particle", flag, *past_cap, "--emit", emit])
         assert (code, out) == (3, "")
         assert err == f"error: {flag} asks for more than the cap of 100000 moves\n"
 
-    def test_path_csv_alone_counts_no_orderings(self, capsys, monkeypatch):
+    def test_path_csv_alone_counts_no_orderings(self, monkeypatch):
         # the state JSON is not printed, so neither it nor its orderings count is built
         def no_count(counts):
             raise AssertionError("particle counted orderings for a state it does not print")
@@ -487,45 +463,43 @@ class TestParticleCommand:
         from causetkit import kinematics
 
         monkeypatch.setattr(kinematics, "count_orderings", no_count)
-        code, out, err = run(capsys, "particle", "--random", "2000", "0.5", "1", "--emit", "csv")
+        code, out, err = run_cli(["particle", "--random", "2000", "0.5", "1", "--emit", "csv"])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6e86b4fcbf87ed15145cc3afa09b4afd33116e4449c3faac80f72bcfdc6a80ff"
         )
 
-    def test_outdir_writes_both_artifacts(self, capsys, tmp_path):
+    def test_outdir_writes_both_artifacts(self, tmp_path):
         outdir = str(tmp_path / "artifacts")
-        code, out, _ = run(
-            capsys, "particle", "--sequence", "PQP", "--outdir", outdir
-        )
+        code, out, _ = run_cli(["particle", "--sequence", "PQP", "--outdir", outdir])
         assert code == 0
         assert os.path.exists(os.path.join(outdir, "particle_state.json"))
         assert os.path.exists(os.path.join(outdir, "particle_path.csv"))
 
 
 class TestCheckerboardCommand:
-    def test_both_methods_small_discrepancy(self, capsys):
-        code, out, _ = run(
-            capsys, "checkerboard", "--steps", "2",
+    def test_both_methods_small_discrepancy(self):
+        code, out, _ = run_cli([
+            "checkerboard", "--steps", "2",
             "--theta", "0.7853981633974483", "--method", "both", "--emit", "json",
-        )
+        ])
         assert code == 0
         doc = json.loads(out)
         assert doc["max_discrepancy"] <= 1e-12
         assert doc["tolerance"] == 1e-12
 
     @pytest.mark.parametrize("method", ["matrix", "both"])
-    def test_lattice_stepped_once(self, capsys, monkeypatch, method):
+    def test_lattice_stepped_once(self, monkeypatch, method):
         from causetkit import checkerboard as cb
 
         calls = []
         step_field = cb.step_field
         monkeypatch.setattr(cb, "step_field", lambda *a: calls.append(1) or step_field(*a))
-        code, _, _ = run(capsys, "checkerboard", "--steps", "7", "--method", method)
+        code, _, _ = run_cli(["checkerboard", "--steps", "7", "--method", method])
         assert (code, len(calls)) == (0, 7)
 
-    def test_matrix_conservation_column(self, capsys):
-        code, out, _ = run(capsys, "checkerboard", "--steps", "200", "--method", "matrix")
+    def test_matrix_conservation_column(self):
+        code, out, _ = run_cli(["checkerboard", "--steps", "200", "--method", "matrix"])
         assert code == 0
         sums: dict[str, float] = {}
         for row in parse_csv(out):
@@ -533,25 +507,25 @@ class TestCheckerboardCommand:
         assert len(sums) == 201
         assert all(abs(total - 1) <= 1e-12 for total in sums.values())
 
-    def test_pathsum_cap_exits_three(self, capsys):
-        code, _, err = run(capsys, "checkerboard", "--steps", "40", "--method", "pathsum")
+    def test_pathsum_cap_exits_three(self):
+        code, _, err = run_cli(["checkerboard", "--steps", "40", "--method", "pathsum"])
         assert code == 3
         assert "cap" in err
 
-    def test_pathsum_final_slice_only(self, capsys):
-        code, out, _ = run(capsys, "checkerboard", "--steps", "3", "--method", "pathsum")
+    def test_pathsum_final_slice_only(self):
+        code, out, _ = run_cli(["checkerboard", "--steps", "3", "--method", "pathsum"])
         rows = parse_csv(out)
         assert {row["t"] for row in rows} == {"3"}
 
     @pytest.mark.parametrize("method", ["matrix", "both"])
-    def test_matrix_row_cap_both_sides(self, capsys, method):
+    def test_matrix_row_cap_both_sides(self, method):
         # 9 steps write at most (9 + 1) * (9 + 2) = 110 rows
         argv = ("checkerboard", "--steps", "9", "--method", method)
-        code, _, err = run(capsys, *argv, "--cap", "109")
+        code, _, err = run_cli([*argv, "--cap", "109"])
         assert code == 3
         assert "110 rows" in err
         if method == "matrix":
-            code, out, _ = run(capsys, *argv, "--cap", "110")
+            code, out, _ = run_cli([*argv, "--cap", "110"])
             assert code == 0
             assert len(parse_csv(out)) <= 110
 
@@ -564,20 +538,20 @@ class TestCheckerboardCommand:
     @pytest.mark.parametrize("steps", ["1000000000000000", "10000000000000000000"],
                              ids=["memory", "index-size"])
     @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
-    def test_lattice_too_large_to_allocate_exits_three(self, capsys, tmp_path, emit, steps):
+    def test_lattice_too_large_to_allocate_exits_three(self, tmp_path, emit, steps):
         # 10^15 steps need lists of 16 PB, past the address space, so the
         # allocation fails at once (MemoryError); 10^19 sites do not fit an
         # index (OverflowError).  The point source is built before any output.
         argv = ("checkerboard", "--steps", steps, "--cap", "1" + "0" * 40, "--emit", emit)
         expected = (3, "", f"error: --steps {steps} needs a lattice too large to allocate\n")
-        assert run(capsys, *argv) == expected
+        assert run_cli(argv) == expected
         outdir = tmp_path / "d"
-        assert run(capsys, *argv, "--outdir", str(outdir)) == expected
+        assert run_cli([*argv, "--outdir", str(outdir)]) == expected
         assert not outdir.exists()
 
-    def test_pathsum_cap_past_the_int_string_limit_exits_three(self, capsys):
+    def test_pathsum_cap_past_the_int_string_limit_exits_three(self):
         # 2^20000 sequences: the count has more digits than str() of an int allows
-        code, out, err = run(capsys, "checkerboard", "--steps", "20000", "--method", "pathsum")
+        code, out, err = run_cli(["checkerboard", "--steps", "20000", "--method", "pathsum"])
         assert (code, out) == (3, "")
         assert err.startswith("error: path sum over 2^20000 sequences exceeds the cap of 1000000")
 
@@ -594,8 +568,8 @@ class TestCheckerboardCommand:
         ],
         ids=["nan-mass", "inf-mass", "inf-eps", "overflowing-product", "inf-theta"],
     )
-    def test_non_finite_angle_names_the_value(self, capsys, flags, named):
-        code, out, err = run(capsys, "checkerboard", "--steps", "3", *flags)
+    def test_non_finite_angle_names_the_value(self, flags, named):
+        code, out, err = run_cli(["checkerboard", "--steps", "3", *flags])
         assert code == 1
         assert out == ""
         assert err == f"error: {named}\n"
@@ -606,56 +580,52 @@ class TestCheckerboardCommand:
          ("--mass", "-INF"), ("--theta", "-NaN"), ("--mass", "-Infinity")],
         ids=" ".join,
     )
-    def test_negative_non_finite_value_as_separate_argument(self, capsys, flags):
+    def test_negative_non_finite_value_as_separate_argument(self, flags):
         # read as the value, as in the --name=value form, and not as an option
         joined = [f"{name}={value}" for name, value in zip(flags[::2], flags[1::2])]
-        expected = run(capsys, "checkerboard", "--steps", "2", *joined)
+        expected = run_cli(["checkerboard", "--steps", "2", *joined])
         assert expected[0] == 1 and "must be finite" in expected[2]
-        assert run(capsys, "checkerboard", "--steps", "2", *flags) == expected
+        assert run_cli(["checkerboard", "--steps", "2", *flags]) == expected
 
-    def test_negative_mass_in_exponent_form(self, capsys):
-        code, out, err = run(capsys, "checkerboard", "--steps", "2", "--mass", "-1e-3")
+    def test_negative_mass_in_exponent_form(self):
+        code, out, err = run_cli(["checkerboard", "--steps", "2", "--mass", "-1e-3"])
         assert (code, out) == (1, "")
         assert err == "error: propagator magnitudes must be nonnegative\n"
 
-    def test_mass_and_theta_conflict(self, capsys):
-        code, _, _ = run(
-            capsys, "checkerboard", "--steps", "2", "--theta", "0.3", "--mass", "1.0"
-        )
+    def test_mass_and_theta_conflict(self):
+        code, _, _ = run_cli(["checkerboard", "--steps", "2", "--theta", "0.3", "--mass", "1.0"])
         assert code == 1
 
     @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
-    def test_eps_without_mass_exits_one(self, capsys, emit):
+    def test_eps_without_mass_exits_one(self, emit):
         # --eps is the time step of the mass bridge; alone it used to be ignored
-        code, out, err = run(capsys, "checkerboard", "--steps", "3", "--eps", "2", "--emit", emit)
+        code, out, err = run_cli(["checkerboard", "--steps", "3", "--eps", "2", "--emit", emit])
         assert (code, out) == (1, "")
         assert err == "error: --eps requires --mass\n"
 
-    def test_svg_emission(self, capsys):
-        code, out, _ = run(
-            capsys, "checkerboard", "--steps", "4", "--emit", "svg"
-        )
+    def test_svg_emission(self):
+        code, out, _ = run_cli(["checkerboard", "--steps", "4", "--emit", "svg"])
         assert code == 0
         assert out.startswith("<svg")
         assert "<rect" in out
 
     @pytest.mark.parametrize("emit", ["csv", "svg"])
-    def test_both_reports_discrepancy_on_stderr(self, capsys, emit):
-        code, _, err = run(
-            capsys, "checkerboard", "--steps", "3", "--method", "both", "--emit", emit
+    def test_both_reports_discrepancy_on_stderr(self, emit):
+        code, _, err = run_cli(
+            ["checkerboard", "--steps", "3", "--method", "both", "--emit", emit]
         )
         assert code == 0
         assert err.startswith("max_discrepancy")
 
-    def test_byte_identical_reruns(self, capsys):
+    def test_byte_identical_reruns(self):
         args = ("checkerboard", "--steps", "12", "--theta", "0.9", "--emit", "json")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
+        _, first, _ = run_cli(args)
+        _, second, _ = run_cli(args)
         assert first == second
 
 
 @pytest.mark.parametrize("command", ["quantify", "particle", "checkerboard", "validate"])
-def test_outdir_env_variable_is_ignored(capsys, tmp_path, ladder_file, monkeypatch, command):
+def test_outdir_env_variable_is_ignored(tmp_path, ladder_file, monkeypatch, command):
     # only --outdir sets the output directory
     argv = {
         "quantify": ("quantify", ladder_file, "--chain", "P"),
@@ -664,9 +634,9 @@ def test_outdir_env_variable_is_ignored(capsys, tmp_path, ladder_file, monkeypat
         "validate": ("validate", ladder_file),
     }[command]
     monkeypatch.delenv("CAUSETKIT_OUTDIR", raising=False)
-    expected = run(capsys, *argv)
+    expected = run_cli(argv)
     monkeypatch.setenv("CAUSETKIT_OUTDIR", str(tmp_path / "fromenv"))
-    assert run(capsys, *argv) == expected
+    assert run_cli(argv) == expected
     assert expected[0] == 0 and expected[1]
     assert os.listdir(tmp_path) == ["ladder.json"]
 

@@ -14,15 +14,17 @@ it halves as N doubles.
 
 At any step size, the kernel's Fourier transform is the t-th power of the
 one-step transfer matrix, whose eigenvalues give the lattice dispersion
-relation cos(omega) = cos(m*epsilon)*cos(k).
+relation cos(omega) = cos(m*epsilon)*cos(k).  Its group velocity
+d(omega)/dk tends to a particle's beta = p/E at second order in epsilon.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
-from causetkit import kernel_matrix, propagators_from_mass
+from causetkit import kernel_matrix, kinematic_state, propagators_from_mass
 
 MASS, T = 1.0, 3.0
 # the largest error at N = 150, 300 and 600 is 2.155e-2, 1.067e-2 and 5.372e-3
@@ -97,3 +99,27 @@ def test_the_kernel_keeps_the_lattice_dispersion_relation(k):
     # the largest errors over these k were 7.0e-14 in the trace, 3.3e-15 in det
     assert abs((a * d - b * c) - 1) < 1e-13
     assert abs((a + d) - 2 * math.cos(steps * omega)) < 1e-12
+
+
+def test_the_lattice_moves_at_the_particles_beta():
+    # rates (1, 4) give M = 2 and p = 3/2.  On a lattice of mass 1 the packet
+    # of wavenumber k = (p/M) eps moves at d(omega)/dk, read off the one-step
+    # transfer matrix by a central difference: 0.598949, 0.599738, 0.599934
+    # and 0.599984 at these eps, so beta - v quarters as eps halves.  The sign
+    # of beta, which a P-heavy particle makes negative, is not tested here.
+    state = kinematic_state(1, 4)
+    assert (state.mass, state.momentum, state.beta) == (2, Fraction(3, 2), Fraction(3, 5))
+    gaps = []
+    for eps in (0.08, 0.04, 0.02, 0.01):
+        pp = propagators_from_mass(1.0, eps)
+
+        def omega(k):
+            (a, _), (_, d) = transfer_matrix(1, pp, k)
+            return math.acos((a + d).real / 2)
+
+        k, delta = float(state.momentum / state.mass) * eps, 1e-4 * eps
+        gaps.append(float(state.beta) - (omega(k + delta) - omega(k - delta)) / (2 * delta))
+    assert all(gap > 0 for gap in gaps)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
+    assert gaps[-1] < 2e-5

@@ -7,17 +7,13 @@ whichever way the library is imported.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import causetkit
+from conftest import run_python
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 
 GOLDEN = {
     "checkerboard_kernel.py": "56c43e74e1baa309e981a3e4071177a930e6cc0adb16ef828bf962c9da9d0ebc",
@@ -33,10 +29,6 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name, digest", sorted(GOLDEN.items()))
 def test_demo_output_is_pinned(name, digest):
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)], capture_output=True, env=env, check=False
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_python(str(DEMOS / name), text=False)
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -14,25 +14,22 @@ elsewhere, as under `taskset -c 0`.
 import operator
 import os
 import signal
-import subprocess
-import sys
 import time
 from typing import Callable, Iterable, NamedTuple
 from unittest import mock
 
 import pytest
 
-import causetkit
 from causetkit import checkerboard as cb
 from causetkit import cli
 from causetkit._forked import forked_map
 from causetkit.checkerboard import KernelColumns
+from conftest import run_python
 from forkprobes import (
     another_thread, counted_forks, needs_two_cpus, no_cpu_mask, nothing_left, one_cpu,
     process_state, refuse_fork,
 )
 
-SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 
 # 41 texts: empty, ASCII with the characters CSV quotes, and multi-byte UTF-8
 TEXTS = ["", "a", "b,c", 'say "hi"\n', "x\r\ny", "π ≈ 3.14159", "日本語", "naïve 🙂"]
@@ -231,8 +228,7 @@ def test_the_child_leaves_only_through_os_exit():
         "os.kill = lambda pid, sig: None\n"
         "print(''.join(forked_map(str.upper, iter('abcdefg'))))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    done = run_python("-c", script, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ABCDEFG\n", "")
 
 
@@ -241,6 +237,4 @@ def test_the_module_imports_nothing_from_causetkit():
         "import sys, causetkit._forked\n"
         "print(sorted(m for m in sys.modules if m.startswith('causetkit.')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
-    assert out == "['causetkit._forked']\n"
+    assert run_python("-c", script).stdout == "['causetkit._forked']\n"

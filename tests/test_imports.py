@@ -16,19 +16,14 @@ Import state is per process, so each check runs in a fresh interpreter.
 """
 
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import causetkit
-from causetkit import save_poset
-from conftest import ladder_poset
+from conftest import run_python
 
-SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # every public name the package bound when it imported checkerboard eagerly
@@ -60,7 +55,8 @@ PUBLIC_NAMES = [
 ]
 
 # runs cli.main on each argv in sys.argv[1] (a JSON list), stdout discarded,
-# then prints the exit codes and whether numpy was imported
+# then prints the exit codes, the causetkit submodules the process has loaded
+# and whether it has loaded numpy, dataclasses, decimal and fractions
 CLI_SCRIPT = """
 import contextlib, io, json, sys
 from causetkit.cli import main
@@ -72,7 +68,9 @@ for argv in json.loads(sys.argv[1]):
             codes.append(main(argv))
         except SystemExit as exc:  # --help
             codes.append(exc.code)
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+loaded = sorted(name for name in sys.modules if name.startswith("causetkit."))
+stdlib = {name: name in sys.modules for name in ("numpy", "dataclasses", "decimal", "fractions")}
+print(json.dumps({"codes": codes, "loaded": loaded, **stdlib}))
 """
 
 
@@ -119,55 +117,18 @@ for accessor in (lambda: pp.P, lambda: pp.Q, initial.as_array):
 print(json.dumps({"codes": codes, "helpers": list(map(repr, helpers)), "import_errors": import_errors}))
 """
 
-
-# runs cli.main on the argv in sys.argv[1:], stdout discarded, then prints the
-# exit code, the causetkit submodules the process has loaded and whether it
-# has loaded dataclasses, decimal and fractions
-LOADED_SCRIPT = """
-import contextlib, io, json, sys
-from causetkit.cli import main
-
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        code = main(sys.argv[1:])
-    except SystemExit as exc:  # --help
-        code = exc.code
-loaded = sorted(name for name in sys.modules if name.startswith("causetkit."))
-stdlib = {name: name in sys.modules for name in ("dataclasses", "decimal", "fractions")}
-print(json.dumps({"code": code, "loaded": loaded, **stdlib}))
-"""
-
 SUBMODULES = ["checkerboard", "errors", "exact", "kinematics", "poset", "quantify"]
 
 
-def run_python(*args):
-    proc = subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def run_cli(argvs):
-    return json.loads(run_python("-c", CLI_SCRIPT, json.dumps(argvs)))
-
-
-@pytest.fixture
-def ladder_file(tmp_path):
-    path = tmp_path / "ladder.json"
-    save_poset(ladder_poset(), str(path))
-    return str(path)
+def probe(argvs):
+    """CLI_SCRIPT's report on the argvs, all run in one fresh interpreter."""
+    return json.loads(run_python("-c", CLI_SCRIPT, json.dumps(argvs)).stdout)
 
 
 class TestNumpyStaysOut:
     def test_importing_the_package_skips_numpy(self):
-        assert run_python("-c", "import sys, causetkit; print('numpy' in sys.modules)") == (
-            "False\n"
-        )
+        script = "import sys, causetkit; print('numpy' in sys.modules)"
+        assert run_python("-c", script).stdout == "False\n"
 
     def test_other_commands_skip_numpy(self, ladder_file):
         argvs = [
@@ -183,24 +144,25 @@ class TestNumpyStaysOut:
             ["particle", "--sequence", "PPQPQ", "--emit", "csv"],
             ["checkerboard", "--help"],
         ]
-        assert run_cli(argvs) == {"codes": [0] * len(argvs), "numpy": False}
+        report = probe(argvs)
+        assert (report["codes"], report["numpy"]) == ([0] * len(argvs), False)
 
     def test_matrix_method_skips_numpy(self, tmp_path):
-        assert run_python(
-            "-c", "import sys, causetkit.checkerboard; print('numpy' in sys.modules)"
-        ) == "False\n"
+        script = "import sys, causetkit.checkerboard; print('numpy' in sys.modules)"
+        assert run_python("-c", script).stdout == "False\n"
         argvs = [
             ["checkerboard", "--steps", "6", "--emit", emit, *flags]
             for emit in ("csv", "json", "svg")
             for flags in ([], ["--theta", "0.4", "--initial", "Q"], ["--mass", "0.3"])
         ] + [["checkerboard", "--steps", "6", "--emit", "svg", "--outdir", str(tmp_path)]]
-        assert run_cli(argvs) == {"codes": [0] * len(argvs), "numpy": False}
+        report = probe(argvs)
+        assert (report["codes"], report["numpy"]) == ([0] * len(argvs), False)
 
     @pytest.mark.parametrize("method", ["pathsum", "both"])
     @pytest.mark.parametrize("emit", ["csv", "json", "svg"])
     def test_path_sum_skips_numpy(self, method, emit):
-        argvs = [["checkerboard", "--steps", "6", "--method", method, "--emit", emit]]
-        assert run_cli(argvs) == {"codes": [0], "numpy": False}
+        report = probe([["checkerboard", "--steps", "6", "--method", method, "--emit", emit]])
+        assert (report["codes"], report["numpy"]) == ([0], False)
 
 
 class TestWithoutNumpy:
@@ -218,7 +180,7 @@ class TestWithoutNumpy:
             for method in ("matrix", "pathsum", "both")
             for emit in ("csv", "json", "svg")
         ] + [["checkerboard", "--steps", "6", "--emit", "svg", "--outdir", str(tmp_path / "c")]]
-        got = json.loads(run_python("-c", NO_NUMPY_SCRIPT, json.dumps(argvs)))
+        got = json.loads(run_python("-c", NO_NUMPY_SCRIPT, json.dumps(argvs)).stdout)
         with_numpy: dict = {}  # the same helpers in this process, which has numpy
         exec(HELPERS, with_numpy)
         assert got == {
@@ -232,9 +194,6 @@ class TestLoadPerCommand:
     """Each command loads only the submodules it runs, each in a fresh process."""
 
     BASE = ["causetkit.cli", "causetkit.errors"]
-
-    def loaded(self, *argv):
-        return json.loads(run_python("-c", LOADED_SCRIPT, *argv))
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -250,16 +209,16 @@ class TestLoadPerCommand:
         expected = self.BASE if argv == ["--help"] else [*self.BASE, "causetkit.poset"]
         rational = argv[0] == "quantify"
         argv = [ladder_file if token == "LADDER" else token for token in argv]
-        assert self.loaded(*argv) == {
-            "code": 0, "loaded": expected,
+        assert probe([argv]) == {
+            "codes": [0], "loaded": expected, "numpy": False,
             "dataclasses": False, "decimal": rational, "fractions": rational,
         }
 
     def test_particle_skips_quantify(self):
-        got = self.loaded("particle", "--counts", "3,2", "--dp", "5", "--dq", "2")
+        got = probe([["particle", "--counts", "3,2", "--dp", "5", "--dq", "2"]])
         expected = [*self.BASE, "causetkit.exact", "causetkit.kinematics"]
         assert got == {
-            "code": 0, "loaded": sorted(expected),
+            "codes": [0], "loaded": sorted(expected), "numpy": False,
             "dataclasses": True, "decimal": True, "fractions": True,
         }
 
@@ -269,14 +228,14 @@ class TestLoadPerCommand:
         runs = [(method, emit) for method in ("matrix", "pathsum", "both")
                 for emit in ("csv", "json", "svg")]
         got = {
-            f"{method} {emit}": self.loaded(
-                "checkerboard", "--steps", "6", "--method", method, "--emit", emit
+            f"{method} {emit}": probe(
+                [["checkerboard", "--steps", "6", "--method", method, "--emit", emit]]
             )
             for method, emit in runs
         }
         only = {
-            "code": 0, "loaded": sorted([*self.BASE, "causetkit.checkerboard"]),
-            "dataclasses": False, "decimal": False, "fractions": False,
+            "codes": [0], "loaded": sorted([*self.BASE, "causetkit.checkerboard"]),
+            "numpy": False, "dataclasses": False, "decimal": False, "fractions": False,
         }
         assert got == {f"{method} {emit}": only for method, emit in runs}
 
@@ -284,22 +243,21 @@ class TestLoadPerCommand:
         # past the fork row bound a child process formats the odd time slices:
         # the command loads what it loads at 6 steps and the two-process map,
         # no numpy, and reaps the child
-        script = LOADED_SCRIPT + (
+        script = CLI_SCRIPT + (
             "import os\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
             "except ChildProcessError:\n"
             "    print('no child left')\n"
-            "print('numpy' in sys.modules)\n"
         )
-        argv = ["checkerboard", "--steps", "200", "--emit", "json"]
-        loaded, *rest = run_python("-c", script, *argv).splitlines()
+        argvs = [["checkerboard", "--steps", "200", "--emit", "json"]]
+        loaded, *rest = run_python("-c", script, json.dumps(argvs)).stdout.splitlines()
         assert json.loads(loaded) == {
-            "code": 0,
+            "codes": [0],
             "loaded": sorted([*self.BASE, "causetkit._forked", "causetkit.checkerboard"]),
-            "dataclasses": False, "decimal": False, "fractions": False,
+            "numpy": False, "dataclasses": False, "decimal": False, "fractions": False,
         }
-        assert rest == ["no child left", "False"]
+        assert rest == ["no child left"]
 
     def test_unordered_amplitude_loads_kinematics_when_called(self):
         # counts as a plain tuple, so that only the call can load kinematics
@@ -313,11 +271,11 @@ class TestLoadPerCommand:
             "print(before, 'causetkit.kinematics' in sys.modules)\n"
             "print((out.phi_p, out.phi_q) == (k[1, 'P'], k[1, 'Q']))\n"
         )
-        assert run_python("-c", script) == "False True\nTrue\n"
+        assert run_python("-c", script).stdout == "False True\nTrue\n"
 
     def test_importing_the_package_loads_no_submodule(self):
         script = "import sys, causetkit\nprint([m for m in sys.modules if 'causetkit.' in m])"
-        assert run_python("-c", script) == "[]\n"
+        assert run_python("-c", script).stdout == "[]\n"
 
 
 class TestCanonicalJson:
@@ -342,7 +300,7 @@ class TestCanonicalJson:
             "reject(sqrt_exact(8))\n"
             "print(json.dumps(errors))\n"
         )
-        assert run_python("-c", script).splitlines() == [
+        assert run_python("-c", script).stdout.splitlines() == [
             '{"mu": 0.42857142857142855, "ok": true}',
             "False",
             '["cannot serialize complex", "cannot serialize object", "cannot serialize Surd"]',
@@ -360,14 +318,14 @@ class TestPublicApi:
             "from causetkit import *\n"
             "print(json.dumps(sorted(n for n in globals() if not n.startswith('_'))))"
         )
-        assert json.loads(run_python("-c", script)) == sorted(["json", *PUBLIC_NAMES])
+        assert json.loads(run_python("-c", script).stdout) == sorted(["json", *PUBLIC_NAMES])
 
     def test_checkerboard_attribute_is_the_module(self):
         script = (
             "import sys, causetkit\n"
             "print(causetkit.checkerboard is sys.modules['causetkit.checkerboard'])"
         )
-        assert run_python("-c", script) == "True\n"
+        assert run_python("-c", script).stdout == "True\n"
 
     @pytest.mark.parametrize("name", sorted(set(SUBMODULES) - {"checkerboard"}))
     def test_other_submodule_attributes_are_the_modules(self, name):
@@ -375,7 +333,7 @@ class TestPublicApi:
             f"import sys, causetkit\n"
             f"print(causetkit.{name} is sys.modules['causetkit.{name}'])"
         )
-        assert run_python("-c", script) == "True\n"
+        assert run_python("-c", script).stdout == "True\n"
 
     def test_every_name_is_its_submodule_attribute(self):
         import importlib

@@ -1,6 +1,5 @@
 """Influence sequences, zig-zag paths, and rate-based kinematics."""
 
-import contextlib
 import csv
 import io
 import itertools
@@ -31,9 +30,8 @@ from causetkit import (
     transform_energy_momentum,
     transform_rates,
 )
-from causetkit.cli import main
 from causetkit.exact import Surd, collapse, sqrt_exact
-from conftest import bits
+from conftest import bits, run_cli
 
 positive_rates = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(40), max_denominator=30
@@ -429,10 +427,9 @@ def particle_poset(moves):
 
 
 def cli_csv(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
-    return list(csv.DictReader(io.StringIO(out.getvalue())))
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    return list(csv.DictReader(io.StringIO(out)))
 
 
 @settings(deadline=None)

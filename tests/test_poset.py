@@ -1,6 +1,5 @@
 """Causal poset construction, validation, reachability and round trip."""
 
-import contextlib
 import io
 import json
 import random
@@ -25,13 +24,13 @@ from causetkit import (
     validate,
 )
 from causetkit import poset as poset_module
-from causetkit.cli import main
 from conftest import (
     bfs_reachable,
     ladder_poset,
     mutual_influence_poset,
     poset_reachable,
     random_valid_poset,
+    run_cli,
     two_chain_poset,
     unruly_posets,
 )
@@ -157,7 +156,7 @@ class TestValidate:
         assert report.ok == (not expected)
 
 
-    def test_topological_order_is_computed_once_when_first_asked(self, tmp_path, monkeypatch):
+    def test_topological_order_is_computed_once_when_first_asked(self, ladder_file, monkeypatch):
         # only is_acyclic, cycle_events and topological_order read the order, so
         # quantify and dual never run Kahn's algorithm, and validate runs it once
         calls = []
@@ -166,13 +165,10 @@ class TestValidate:
             poset_module.CausalPoset, "_topological_order",
             lambda poset: calls.append(poset) or kahn(poset),
         )
-        path = tmp_path / "ladder.json"
-        save_poset(ladder_poset(), str(path))
         for emit in ("csv", "json"):
-            with contextlib.redirect_stdout(io.StringIO()):
-                argv = ["quantify", str(path), "--chain", "P", "--chain2", "Q", "--emit", emit]
-                assert main(argv) == 0
-                assert main(["quantify", str(path), "--chain", "Q", "--emit", emit]) == 0
+            argv = ["quantify", ladder_file, "--chain", "P", "--chain2", "Q", "--emit", emit]
+            assert run_cli(argv)[0] == 0
+            assert run_cli(["quantify", ladder_file, "--chain", "Q", "--emit", emit])[0] == 0
         poset = dual(ladder_poset())
         assert calls == []
         assert validate(poset).ok

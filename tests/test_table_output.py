@@ -9,13 +9,11 @@ quotes, newlines and carriage returns; the particle cases cover the state
 JSON and the path CSV of given, random and counted sequences.
 """
 
-import contextlib
 import csv
 import hashlib
 import io
 import os
 import random
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -24,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import causetkit
 from causetkit import (
     ChainValuation,
     InfluenceSequence,
@@ -34,10 +31,8 @@ from causetkit import (
     save_poset,
     sequence_to_path,
 )
-from causetkit.cli import canonical_json, main, rows_to_csv
-from conftest import ladder_poset, random_valid_poset
-
-SRC = os.path.dirname(os.path.dirname(causetkit.__file__))
+from causetkit.cli import canonical_json, rows_to_csv
+from conftest import ladder_poset, random_valid_poset, run_cli, run_python
 
 ODD_P = ["p,0", 'p"1', "p\n2", "p\r3", "p 4"]
 ODD_Q = ["q\t0", '"', ",", "ünï", "q\\4", "q5"]
@@ -117,13 +112,6 @@ PARTICLE_GOLDEN = [
 ]
 
 
-def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def quantify_argv(tmp_path, document, n_chains, mu, emit):
     poset, chain, chain2 = DOCUMENTS[document]
     path = tmp_path / f"{document}.json"
@@ -142,7 +130,7 @@ def sha256(text: str) -> str:
     "case, digest", QUANTIFY_GOLDEN.items(), ids=["-".join(map(str, c)) for c in QUANTIFY_GOLDEN]
 )
 def test_quantify_output_is_pinned(tmp_path, case, digest):
-    code, out, err = run_main(quantify_argv(tmp_path, *case))
+    code, out, err = run_cli(quantify_argv(tmp_path, *case))
     assert (code, err) == (0, "")
     assert sha256(out) == digest
 
@@ -151,7 +139,7 @@ def test_quantify_output_is_pinned(tmp_path, case, digest):
     "argv, digest", PARTICLE_GOLDEN, ids=[" ".join(argv) for argv, _ in PARTICLE_GOLDEN]
 )
 def test_particle_output_is_pinned(argv, digest):
-    code, out, err = run_main(["particle", *argv])
+    code, out, err = run_cli(["particle", *argv])
     assert (code, err) == (0, "")
     assert sha256(out) == digest
 
@@ -160,7 +148,7 @@ def test_particle_output_is_pinned(argv, digest):
 @pytest.mark.parametrize("mu", ["1", "3/7"])
 def test_quantify_csv_reads_back(tmp_path, n_chains, mu):
     # every id comes back whole, carriage return included
-    code, out, _ = run_main(quantify_argv(tmp_path, "odd", n_chains, mu, "csv"))
+    code, out, _ = run_cli(quantify_argv(tmp_path, "odd", n_chains, mu, "csv"))
     rows = list(csv.reader(io.StringIO(out, newline="")))
     assert code == 0
     assert rows[0] == ["event_id", "p_fwd", "p_bwd", "q_fwd", "q_bwd", "t", "x"]
@@ -193,11 +181,11 @@ def test_outdir_artifacts_match_stdout(tmp_path, case):
     if argv is None:  # quantify, with ids CSV must quote
         argv = quantify_argv(tmp_path, "odd", 2, "3/7", case.split("-")[1])
     outdir = tmp_path / "out"
-    code, out, err = run_main([*argv, "--outdir", str(outdir)])
+    code, out, err = run_cli([*argv, "--outdir", str(outdir)])
     assert (code, err) == (0, "")
     assert out.splitlines() == [str(outdir / name) for name in artifacts]
     for name, flags in artifacts.items():
-        printed = run_main([*argv, *flags])[1]
+        printed = run_cli([*argv, *flags])[1]
         assert (outdir / name).read_bytes().decode("utf-8") == printed
 
 
@@ -221,7 +209,7 @@ def test_error_writes_nothing(tmp_path, argv, exit_code):
     if argv[0] is None:
         argv = ["quantify", one_event_document(tmp_path), *argv[1:]]
     outdir = tmp_path / "d"
-    code, out, err = run_main([*argv, "--outdir", str(outdir)])
+    code, out, err = run_cli([*argv, "--outdir", str(outdir)])
     assert (code, out) == (exit_code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not outdir.exists()
@@ -245,9 +233,7 @@ def test_checkerboard_streams_in_bounded_memory(emit):
     # slice by slice, ~31 MB and ~34 MB.
     cli = [sys.executable, "-m", "causetkit.cli", "checkerboard", "--steps", "600",
            "--emit", emit]
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", RSS_LAUNCHER, *cli], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = run_python("-c", RSS_LAUNCHER, *cli)
     status, max_rss_kib = map(int, proc.stdout.split())
     assert status == 0
     assert max_rss_kib < 60 * 1024
@@ -307,7 +293,7 @@ def test_quantify_matches_the_fraction_rows(poset, data, mu, emit):
         save_poset(poset, path)
         # "--mu=" so that a negative unit does not read as an option
         argv = ["quantify", path, "--chain", chain, f"--mu={mu}", "--emit", emit]
-        code, out, err = run_main(argv + (["--chain2", chain2] if chain2 else []))
+        code, out, err = run_cli(argv + (["--chain2", chain2] if chain2 else []))
     if expected is None:  # a coordinate past the largest float
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -320,4 +306,4 @@ def test_quantify_matches_the_fraction_rows(poset, data, mu, emit):
 def test_path_csv_matches_the_fraction_rows(moves):
     path = sequence_to_path(InfluenceSequence.from_string(moves))
     expected = rows_to_csv(path_rows(path), ["step", "t", "x", "move", "beta", "helicity"])
-    assert run_main(["particle", "--sequence", moves, "--emit", "csv"]) == (0, expected, "")
+    assert run_cli(["particle", "--sequence", moves, "--emit", "csv"]) == (0, expected, "")
