@@ -573,7 +573,10 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help or usage error
+        return exc.code
     with warnings.catch_warnings():
         # one line per warning, without the library's file name and source line
         warnings.showwarning = _print_warning

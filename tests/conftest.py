@@ -1,8 +1,10 @@
-"""Shared poset builders and command runners for the test suite."""
+"""Shared poset builders, command runners, the numpy fixture and the digest
+helper for the test suite."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -37,6 +39,13 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def sha256(data):
+    """The SHA-256 hex digest of bytes, or of text encoded as UTF-8."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def bfs_reachable(events, chains, influence, x, y):
@@ -178,3 +187,15 @@ def ladder_file(tmp_path):
     path = tmp_path / "ladder.json"
     save_poset(ladder_poset(), str(path))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def np():
+    """numpy, for the tests that compare with it.  numpy missing, or built for
+    another interpreter (an ImportError that pytest.importorskip does not skip
+    quietly), skips those tests alone."""
+    try:
+        import numpy
+    except ImportError:
+        pytest.skip("numpy is not importable")
+    return numpy

@@ -1,10 +1,12 @@
-"""Probes of this process, its forks and the fork gate, for the tests of
+"""Probes of this process, its forks and the fork gate, and the failures a
+forked child is made to act out (`in_the_child`, `killed`), for the tests of
 `_forked.forked_map` and of the forked `checkerboard` writer.  Of these,
 `process_state` and the gate contexts `one_cpu`, `no_cpu_mask` and
 `another_thread` serve `tests/test_forked_map.py` alone."""
 
 import contextlib
 import os
+import signal
 import threading
 from unittest import mock
 
@@ -27,6 +29,23 @@ def counted_forks():
 
 def refuse_fork():
     raise AssertionError("forked where one process should compute every item")
+
+
+def in_the_child(act, fn):
+    """`fn`, calling `act` first in any process but this one, so only in the
+    forked child."""
+    here = os.getpid()
+
+    def child_acts(item):
+        if os.getpid() != here:
+            act()
+        return fn(item)
+
+    return child_acts
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def process_state():

@@ -50,18 +50,6 @@ SQRT1_2 = math.sqrt(0.5)
 I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-@pytest.fixture(scope="module")
-def np():
-    """numpy, for the tests that compare with it.  numpy missing, or built for
-    another interpreter (an ImportError that pytest.importorskip does not skip
-    quietly), skips those tests alone."""
-    try:
-        import numpy
-    except ImportError:
-        pytest.skip("numpy is not importable")
-    return numpy
-
-
 def law_weight(length: int, reversals: int) -> complex:
     """Independent reversal-law oracle: (1/sqrt(2))^L * i^R with sequential products."""
     magnitude = 1.0

@@ -17,7 +17,6 @@ are also checked against the general path: row dicts serialised by
 
 import math
 import os
-import signal
 import subprocess
 import sys
 from unittest import mock
@@ -31,7 +30,9 @@ from causetkit import cli
 from causetkit.checkerboard import KernelColumns
 from causetkit.cli import canonical_json, format_number, rows_to_csv
 from conftest import SRC, run_cli
-from forkprobes import counted_forks, needs_fork, needs_two_cpus, nothing_left, refuse_fork
+from forkprobes import (
+    counted_forks, in_the_child, killed, needs_fork, needs_two_cpus, nothing_left, refuse_fork,
+)
 
 ONE_PROCESS = 10**18
 # the row bound of 8 steps, (8 + 1) * (8 + 2)
@@ -162,32 +163,14 @@ def test_the_svg_never_forks():
         assert run(["--steps", "12", "--emit", "svg"], 0)[0] == 0
 
 
-def fail_in_a_child(fail):
-    """KernelColumns.from_field calling `fail` in any process but this one, so
-    only in the forked child, whichever slices each process formats."""
-    real = KernelColumns.from_field
-    here = os.getpid()
-
-    def from_field(field):
-        cols = real(field)
-        if os.getpid() != here:
-            fail()
-        return cols
-
-    return from_field
-
-
-def killed():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 @needs_two_cpus
 @pytest.mark.parametrize("fail, emit", [pytest.param(killed, "csv", id="signal-csv")])
 def test_a_failing_child_changes_nothing_but_the_time(fail, emit):
     argv = ["--steps", "12", "--emit", emit]
     expected = run(argv, ONE_PROCESS)
+    from_field = in_the_child(fail, KernelColumns.from_field)
     with nothing_left(), counted_forks() as forks, \
-            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(fail)):
+            mock.patch.object(KernelColumns, "from_field", from_field):
         assert run(argv, 0) == expected
     assert len(forks) == 1
 
@@ -202,6 +185,7 @@ def test_the_parent_takes_the_childs_cpu_back_when_the_pipe_ends():
     real = cli._slice_text
     here = os.getpid()
     masks = {}
+    from_field = in_the_child(killed, KernelColumns.from_field)
 
     def slice_text(step, cols, emit):
         if os.getpid() == here:
@@ -209,7 +193,7 @@ def test_the_parent_takes_the_childs_cpu_back_when_the_pipe_ends():
         return real(step, cols, emit)
 
     with nothing_left(), counted_forks() as forks, \
-            mock.patch.object(KernelColumns, "from_field", fail_in_a_child(killed)), \
+            mock.patch.object(KernelColumns, "from_field", from_field), \
             mock.patch.object(cli, "_slice_text", slice_text):
         assert run(argv, 0) == expected
     assert len(forks) == 1

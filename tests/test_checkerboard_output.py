@@ -8,11 +8,9 @@ amplitudes whose probability underflows to 0 (theta pi/2), the mass bridge
 with a Q source, and the path-sum and comparison methods.
 """
 
-import hashlib
-
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, sha256
 
 MASS_Q = ("--mass", "0.37", "--eps", "0.61", "--initial", "Q")
 QUARTER_TURN_Q = ("--theta", "1.5707963267948966", "--initial", "Q")
@@ -69,5 +67,5 @@ GOLDEN = [
 def test_checkerboard_output_is_pinned(argv, digest, stderr):
     code, out, err = run_cli(["checkerboard", *argv])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert sha256(out) == digest
     assert err == stderr

@@ -2,7 +2,6 @@
 
 import csv
 import decimal
-import hashlib
 import io
 import json
 import math
@@ -14,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from causetkit import ChainValuation, build_poset, quantification_rows, save_poset
-from causetkit.cli import main, rows_to_csv
-from conftest import SRC, ladder_poset, run_cli
+from causetkit.cli import rows_to_csv
+from conftest import SRC, ladder_poset, run_cli, sha256
 
 
 @pytest.fixture
@@ -47,13 +46,13 @@ class TestValidateCommand:
         assert "cycle" in out
         assert "'a'" in out and "'b'" in out
 
-    def test_outdir_is_a_usage_error(self, capsys, tmp_path, ladder_file):
+    def test_outdir_is_a_usage_error(self, tmp_path, ladder_file):
         # validate prints its report and writes no artifacts
         outdir = tmp_path / "d"
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", ladder_file, "--outdir", str(outdir)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --outdir" in capsys.readouterr().err
+        code, out, err = run_cli(["validate", ladder_file, "--outdir", str(outdir)])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: causetkit ")
+        assert err.endswith(f"causetkit: error: unrecognized arguments: --outdir {outdir}\n")
         assert not outdir.exists()
 
     def test_missing_file_exits_two(self, tmp_path):
@@ -97,7 +96,7 @@ class TestValidateCommand:
         assert (code, err) == (1, "")
         assert out.count("intra-chain-influence") == 2
         assert "cycle" in out and "chain-not-total" in out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert sha256(out) == digest
 
     @pytest.mark.parametrize("bad_id", [[1], 1])
     def test_non_string_id_exits_two(self, tmp_path, bad_id):
@@ -465,7 +464,7 @@ class TestParticleCommand:
         monkeypatch.setattr(kinematics, "count_orderings", no_count)
         code, out, err = run_cli(["particle", "--random", "2000", "0.5", "1", "--emit", "csv"])
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == (
+        assert sha256(out) == (
             "6e86b4fcbf87ed15145cc3afa09b4afd33116e4449c3faac80f72bcfdc6a80ff"
         )
 
@@ -529,11 +528,12 @@ class TestCheckerboardCommand:
             assert code == 0
             assert len(parse_csv(out)) <= 110
 
-    def test_negative_steps_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["checkerboard", "--steps", "-3"])
-        assert exc.value.code == 2
-        assert "--steps: must be nonnegative" in capsys.readouterr().err
+    def test_negative_steps_rejected_by_parser(self):
+        code, out, err = run_cli(["checkerboard", "--steps", "-3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: causetkit checkerboard ")
+        assert err.endswith(
+            "causetkit checkerboard: error: argument --steps: must be nonnegative, got -3\n")
 
     @pytest.mark.parametrize("steps", ["1000000000000000", "10000000000000000000"],
                              ids=["memory", "index-size"])
@@ -639,6 +639,23 @@ def test_outdir_env_variable_is_ignored(tmp_path, ladder_file, monkeypatch, comm
     assert run_cli(argv) == expected
     assert expected[0] == 0 and expected[1]
     assert os.listdir(tmp_path) == ["ladder.json"]
+
+
+def test_module_exits_with_argparse_codes():
+    # `python -m causetkit.cli` exits with main's code, argparse's included
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "causetkit.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: causetkit")
+    code, out, err = run("checkerboard", "--steps", "-3")
+    assert (code, out) == (2, "")
+    assert err.endswith("--steps: must be nonnegative, got -3\n")
+    assert "Traceback" not in err
 
 
 def run_limited(argv, file_size):

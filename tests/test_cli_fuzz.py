@@ -3,21 +3,19 @@
 Poset documents start from a valid ladder and are mutated (values of the
 wrong type, missing keys, control characters, cycles, broken JSON text);
 argv for every subcommand is drawn from valid and malformed tokens.  Each
-run must exit 0, 1, 2 or 3 (argparse's SystemExit(2) counts as 2) without a
+run must exit 0, 1, 2 or 3 (argparse's usage errors among the 2s) without a
 traceback, and `--emit json` output must parse.
 """
 
-import contextlib
-import io
 import json
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causetkit.cli import build_parser, main
+from causetkit.cli import build_parser
 from causetkit.poset import poset_document
-from conftest import ladder_poset
+from conftest import ladder_poset, run_cli
 
 BASE_DOC = poset_document(ladder_poset(n=4, offset=1))
 
@@ -180,14 +178,11 @@ def argvs(draw, command: str) -> list[str]:
 
 
 def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: 2 on bad usage, 0 for --help
-            return exc.code, None, out.getvalue(), err.getvalue()
-        emit = build_parser().parse_args(argv).emit
-    return code, emit, out.getvalue(), err.getvalue()
+    code, out, err = run_cli(argv)
+    # argparse's exits start with its usage line: on stdout for --help, on stderr on error
+    exited = out.startswith("usage: ") or err.startswith("usage: ")
+    emit = None if exited else build_parser().parse_args(argv).emit
+    return code, emit, out, err
 
 
 def check_run(command: list[str], data: bytes) -> None:

@@ -6,12 +6,11 @@ package loaded checkerboard lazily, so the demos must print the same bytes
 whichever way the library is imported.
 """
 
-import hashlib
 from pathlib import Path
 
 import pytest
 
-from conftest import run_python
+from conftest import run_python, sha256
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -31,4 +30,4 @@ def test_every_demo_is_pinned():
 def test_demo_output_is_pinned(name, digest):
     proc = run_python(str(DEMOS / name), text=False)
     assert proc.stderr == b""
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert sha256(proc.stdout) == digest

@@ -13,7 +13,6 @@ elsewhere, as under `taskset -c 0`.
 
 import operator
 import os
-import signal
 import time
 from typing import Callable, Iterable, NamedTuple
 from unittest import mock
@@ -26,8 +25,8 @@ from causetkit._forked import forked_map
 from causetkit.checkerboard import KernelColumns
 from conftest import run_python
 from forkprobes import (
-    another_thread, counted_forks, needs_two_cpus, no_cpu_mask, nothing_left, one_cpu,
-    process_state, refuse_fork,
+    another_thread, counted_forks, in_the_child, killed, needs_two_cpus, no_cpu_mask,
+    nothing_left, one_cpu, process_state, refuse_fork,
 )
 
 
@@ -76,19 +75,6 @@ on_every_stream = pytest.mark.parametrize(
     ids=[pytest.HIDDEN_PARAM, "csv", "json"])
 
 
-def in_the_child(act, fn):
-    """`fn`, calling `act` first in any process but this one, so only in the
-    forked child."""
-    here = os.getpid()
-
-    def child_acts(item):
-        if os.getpid() != here:
-            act()
-        return fn(item)
-
-    return child_acts
-
-
 def parent_calls(calls, fn, key=lambda text: text):
     """`fn`, recording in `calls` the key of each item this process computes,
     with its CPUs."""
@@ -134,10 +120,6 @@ def test_a_lagging_child_changes_nothing(stream):
 
 def out_of_memory():
     raise MemoryError
-
-
-def killed():
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def raises():

@@ -55,19 +55,20 @@ PUBLIC_NAMES = [
 ]
 
 # runs cli.main on each argv in sys.argv[1] (a JSON list), stdout discarded,
-# then prints the exit codes, the causetkit submodules the process has loaded
-# and whether it has loaded numpy, dataclasses, decimal and fractions
-CLI_SCRIPT = """
+# and keeps their exit codes in `codes`
+ARGV_LOOP = """
 import contextlib, io, json, sys
 from causetkit.cli import main
 
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            codes.append(main(argv))
-        except SystemExit as exc:  # --help
-            codes.append(exc.code)
+        codes.append(main(argv))
+"""
+
+# ARGV_LOOP, then prints the exit codes, the causetkit submodules the process
+# has loaded and whether it has loaded numpy, dataclasses, decimal and fractions
+CLI_SCRIPT = ARGV_LOOP + """
 loaded = sorted(name for name in sys.modules if name.startswith("causetkit."))
 stdlib = {name: name in sys.modules for name in ("numpy", "dataclasses", "decimal", "fractions")}
 print(json.dumps({"codes": codes, "loaded": loaded, **stdlib}))
@@ -91,22 +92,13 @@ helpers = [
 ]
 """
 
-# blocks numpy, then runs cli.main on each argv in sys.argv[1] (a JSON list),
-# stdout discarded, HELPERS and the array accessors; prints the exit codes, the
-# reprs of the helpers' results and whether each accessor raised ImportError
+# blocks numpy, then runs ARGV_LOOP, HELPERS and the array accessors; prints
+# the exit codes, the reprs of the helpers' results and whether each accessor
+# raised ImportError
 NO_NUMPY_SCRIPT = """
-import contextlib, io, json, sys
+import sys
 sys.modules["numpy"] = None  # import numpy now raises ImportError
-from causetkit.cli import main
-
-codes = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            codes.append(main(argv))
-        except SystemExit as exc:  # --help
-            codes.append(exc.code)
-""" + HELPERS + """
+""" + ARGV_LOOP + HELPERS + """
 import_errors = []
 for accessor in (lambda: pp.P, lambda: pp.Q, initial.as_array):
     try:

@@ -555,14 +555,7 @@ class TestLorentz:
         with pytest.raises(ValueError):
             lorentz_transform(SpacetimeInterval(1, 0), 1.0)
 
-    def test_composition_matches_matrix_oracle(self):
-        # numpy missing, or built for another interpreter (an ImportError that
-        # pytest.importorskip does not skip quietly), skips this test alone
-        try:
-            import numpy as np
-        except ImportError:
-            pytest.skip("numpy is not importable")
-
+    def test_composition_matches_matrix_oracle(self, np):
         def boost_matrix(beta):
             g = 1 / math.sqrt(1 - beta * beta)
             return np.array([[g, -beta * g], [-beta * g, g]])

@@ -10,7 +10,6 @@ JSON and the path CSV of given, random and counted sequences.
 """
 
 import csv
-import hashlib
 import io
 import os
 import random
@@ -32,7 +31,7 @@ from causetkit import (
     sequence_to_path,
 )
 from causetkit.cli import canonical_json, rows_to_csv
-from conftest import ladder_poset, random_valid_poset, run_cli, run_python
+from conftest import ladder_poset, random_valid_poset, run_cli, run_python, sha256
 
 ODD_P = ["p,0", 'p"1', "p\n2", "p\r3", "p 4"]
 ODD_Q = ["q\t0", '"', ",", "ünï", "q\\4", "q5"]
@@ -120,10 +119,6 @@ def quantify_argv(tmp_path, document, n_chains, mu, emit):
     if n_chains == 2:
         argv += ["--chain2", chain2]
     return argv
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
