@@ -19,9 +19,7 @@ HALF = Fraction(1, 2)  # x * HALF is x / 2, but exact for an int x, where int / 
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        raise ValueError("square root of a negative rational")
+    """Exact square root of a positive rational, or None if irrational."""
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:

@@ -54,6 +54,7 @@ def test_every_operation_passes_its_check(workload, inputs, tmp_path):
     ops = run.WORKLOADS[workload](random.Random(f"{workload}/{SEED}"), inputs)
     failures = []
     for op in ops:
+        # not run_python: each operation runs with run.child_env(), as run.py runs it
         proc = subprocess.run([sys.executable, "-m", "causetkit.cli", *op.argv],
                               capture_output=True, env=run.child_env(), cwd=tmp_path,
                               timeout=300)

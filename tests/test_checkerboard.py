@@ -77,6 +77,11 @@ class TestSequenceAlgebra:
         with pytest.raises(ValueError):
             series_join(("m1", "m2"), ("m3", "m4"))
 
+    def test_series_join_needs_nonempty_sequences(self):
+        with pytest.raises(ValueError) as info:
+            series_join((), ("a",))
+        assert str(info.value) == "series join requires nonempty sequences"
+
     def test_parallel_join_coarse_grains(self):
         a = ("m1", "m2a", "m3")
         b = ("m1", "m2b", "m3")
@@ -590,6 +595,23 @@ class TestFieldStepping:
         with pytest.raises(TypeError):
             CheckerboardField.point_source("P", 2, epsilon=0.05)
 
+    def test_arrays_must_cover_the_lattice(self):
+        with pytest.raises(ValueError) as info:
+            CheckerboardField([0j] * 3, [0j] * 5, 1)
+        assert str(info.value) == "field arrays must cover sites -radius..+radius"
+
+    def test_point_source_needs_a_helicity(self):
+        with pytest.raises(ValueError) as info:
+            CheckerboardField.point_source("X", 3)
+        assert str(info.value) == "helicity must be 'P' or 'Q', got 'X'"
+
+    def test_site_outside_the_lattice_rejected(self):
+        field = CheckerboardField.point_source("P", 2)  # radius 3
+        assert field.spinor_at(3).phi_p == 0
+        with pytest.raises(ValueError) as info:
+            field.spinor_at(4)
+        assert str(info.value) == "site 4 outside allocated radius 3"
+
 
 # -- per-site loops: the reference for the column extraction -----------------
 
@@ -829,6 +851,9 @@ class TestKernels:
                 left = kernel_pathsum(10, pp, initial)
                 right = kernel_matrix(10, pp, initial)
                 assert kernel_discrepancy(left, right) < 1e-12
+
+    def test_discrepancy_of_empty_kernels_is_zero(self):
+        assert kernel_discrepancy({}, {}) == 0.0
 
     def test_pathsum_cap(self):
         with pytest.raises(CapExceededError):

@@ -239,6 +239,7 @@ def test_a_closed_stdout_leaves_no_process_behind():
     # as `causetkit checkerboard --steps 400 | head -c 1000`; the process
     # group of the command is empty once it has exited
     argv = [sys.executable, "-m", "causetkit.cli", "checkerboard", "--steps", "400"]
+    # Popen, not run_python: it reads part of stdout while the command runs
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": SRC},
                           start_new_session=True) as proc:

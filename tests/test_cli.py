@@ -14,7 +14,7 @@ import pytest
 
 from causetkit import ChainValuation, build_poset, quantification_rows, save_poset
 from causetkit.cli import rows_to_csv
-from conftest import SRC, ladder_poset, run_cli, sha256
+from conftest import SRC, ladder_poset, run_cli, run_python, sha256
 
 
 @pytest.fixture
@@ -198,9 +198,8 @@ class TestValidateCommand:
         import resource
 
         limit = 200 * 2**20
-        proc = subprocess.run(
-            [sys.executable, "-m", "causetkit.cli", "validate", str(path)],
-            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        proc = run_python(
+            "-m", "causetkit.cli", "validate", str(path), check=False,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert (proc.returncode, proc.stdout) == (3, "")
@@ -643,19 +642,13 @@ def test_outdir_env_variable_is_ignored(tmp_path, ladder_file, monkeypatch, comm
 
 def test_module_exits_with_argparse_codes():
     # `python -m causetkit.cli` exits with main's code, argparse's included
-    def run(*argv):
-        proc = subprocess.run([sys.executable, "-m", "causetkit.cli", *argv],
-                              env={**os.environ, "PYTHONPATH": SRC},
-                              capture_output=True, text=True)
-        return proc.returncode, proc.stdout, proc.stderr
-
-    code, out, err = run("--help")
-    assert (code, err) == (0, "")
-    assert out.startswith("usage: causetkit")
-    code, out, err = run("checkerboard", "--steps", "-3")
-    assert (code, out) == (2, "")
-    assert err.endswith("--steps: must be nonnegative, got -3\n")
-    assert "Traceback" not in err
+    proc = run_python("-m", "causetkit.cli", "--help", check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: causetkit")
+    proc = run_python("-m", "causetkit.cli", "checkerboard", "--steps", "-3", check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("--steps: must be nonnegative, got -3\n")
+    assert "Traceback" not in proc.stderr
 
 
 def run_limited(argv, file_size):
@@ -667,6 +660,7 @@ def run_limited(argv, file_size):
     def limit():
         resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
 
+    # Popen, not run_python: the os.killpg check below needs the pid
     with subprocess.Popen([sys.executable, "-m", "causetkit.cli", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": SRC},

@@ -39,6 +39,14 @@ class TestConstruction:
     def test_zero(self):
         assert Surd(0, 5) == 0
         assert not Surd(0)
+        assert Surd(0, 0) == 0
+        assert Surd(0, 0).radicand == 1
+        assert sqrt_exact(0) == Surd(0)
+
+    def test_str(self):
+        assert str(Surd(3)) == "3"
+        assert str(sqrt_exact(2)) == "sqrt(2)"
+        assert str(Surd(Fraction(3, 2), 2)) == "(3/2)*sqrt(2)"
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +114,8 @@ class TestArithmetic:
         assert s**3 == Surd(Fraction(135, 8), 5)
         assert s**0 == 1
         assert s**-1 * s == 1
+        with pytest.raises(TypeError):
+            Surd(2) ** 0.5
 
     def test_division(self):
         assert sqrt_exact(18) / sqrt_exact(2) == 3

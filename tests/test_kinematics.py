@@ -391,6 +391,11 @@ class TestRandomSequences:
         with pytest.raises(ValueError):
             random_sequence(4, 1.5, 0)
 
+    def test_negative_length(self):
+        with pytest.raises(ValueError) as info:
+            random_sequence(-1, 0.5, 1)
+        assert str(info.value) == "length must be nonnegative"
+
     def test_long_run_fraction(self):
         seq = random_sequence(20000, 0.25, 123)
         fraction = sum(1 for m in seq.moves if m == "P") / len(seq)

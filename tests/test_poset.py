@@ -406,6 +406,7 @@ class TestRoundTrip:
         path = tmp_path / "poset.json"
         save_poset(poset, str(path))
         assert load_poset(str(path)) == poset
+        assert (poset == 3) is False
 
     def test_file_object_round_trip(self):
         poset = two_chain_poset()

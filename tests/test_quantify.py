@@ -98,6 +98,16 @@ class TestChainLength:
         with pytest.raises(ValueError):
             chain_length(val, "p5", "p2")
 
+    def test_valuation_of_an_unknown_chain_or_event(self, ladder):
+        with pytest.raises(UnknownEventError) as info:
+            ChainValuation.from_poset(ladder, "nope")
+        assert str(info.value) == "unknown chain id: 'nope'"
+        val = ChainValuation.from_poset(ladder, "P")
+        assert val.value("p3") == 3
+        with pytest.raises(UnknownEventError) as info:
+            val.value("q0")
+        assert str(info.value) == "event 'q0' is not on chain 'P'"
+
     @given(
         mu=positive_rationals,
         i=st.integers(0, 7),
@@ -274,6 +284,9 @@ class TestLinearRelation:
         assert LinearRelation(0, 3).beta == -1
         with pytest.raises(ValueError):
             LinearRelation(3, 0).gamma
+        with pytest.raises(ValueError) as info:
+            LinearRelation(3, 0).beta_gamma
+        assert str(info.value) == "beta*gamma undefined at |beta| = 1"
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -324,6 +337,13 @@ class TestCoordination:
         val_q = ChainValuation.from_poset(ladder, "Q")
         with pytest.raises(CoordinationUndecidableError):
             check_coordination(ladder, val_p, val_q, ("p0", "p3"), ("q4", "q6"))
+
+    def test_range_endpoint_off_its_chain(self, ladder):
+        val_p = ChainValuation.from_poset(ladder, "P")
+        val_q = ChainValuation.from_poset(ladder, "Q")
+        with pytest.raises(UnknownEventError) as info:
+            check_coordination(ladder, val_p, val_q, ("p0", "q3"), ("q0", "q3"))
+        assert str(info.value) == "range endpoints must lie on chain 'P'"
 
 
 def pairwise_coordination(poset, valuation_p, valuation_q, range_p, range_q) -> bool:
