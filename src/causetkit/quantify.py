@@ -247,8 +247,6 @@ def check_coordination(
     projects to an equal-length closed interval on the other chain.  Raises
     CoordinationUndecidableError when a needed projection is absent.
     """
-    if valuation_p.chain_id == valuation_q.chain_id:
-        return True
 
     def _window(valuation: ChainValuation, lo: EventId, hi: EventId):
         order = poset.chains[valuation.chain_id]
