@@ -2,6 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Every tolerance is pinned here; nothing is deferred to calibration.
+Criteria 03 and 09 have their one home in the unit tests that README's
+criteria table names.
 """
 
 import math
@@ -14,7 +16,6 @@ from causetkit import (
     InfluenceSequence,
     DerivedWeighting,
     LinearRelation,
-    SpacetimeInterval,
     UnorderedInfluenceCount,
     causal_leq,
     count_orderings,
@@ -27,12 +28,8 @@ from causetkit import (
     kernel_matrix,
     kernel_pathsum,
     kinematic_state,
-    lorentz_transform,
     make_propagators,
-    metric_scalar,
-    pair_transform,
     path_weight,
-    propagators_from_mass,
     propagators_from_theta,
     reversal_count,
     step_field,
@@ -57,10 +54,6 @@ def _run(number: int, description: str, body) -> None:
         print(f"criterion {number:02d} FAIL - {description}")
         raise
     print(f"criterion {number:02d} PASS - {description}")
-
-
-def _random_fraction(rng, lo=-30, hi=30, max_den=20) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
 def _random_positive_fraction(rng, hi=30, max_den=20) -> Fraction:
@@ -91,29 +84,6 @@ def test_criterion_02_figure_values():
         assert scalar.kind == ANTICHAIN
 
     _run(2, "distance, decomposition and interval scalar, exact arithmetic", body)
-
-
-def test_criterion_03_invariance_suite():
-    def body():
-        start = time.perf_counter()
-        rng = random.Random(20240301)
-        for _ in range(10_000):
-            dp, dq = _random_fraction(rng), _random_fraction(rng)
-            m, n = _random_positive_fraction(rng), _random_positive_fraction(rng)
-            pair = IntervalPair(dp, dq)
-            boosted = pair_transform(pair, LinearRelation(m, n))
-            assert boosted.dp * boosted.dq == dp * dq
-            assert interval_scalar(boosted).kind == interval_scalar(pair).kind
-        for _ in range(10_000):
-            dt, dx = rng.uniform(-10, 10), rng.uniform(-10, 10)
-            beta = rng.uniform(-0.95, 0.95)
-            st = SpacetimeInterval(dt, dx)
-            out = lorentz_transform(st, beta)
-            scale = 1 + abs(metric_scalar(st))
-            assert abs(metric_scalar(out) - metric_scalar(st)) <= 1e-12 * scale
-        assert time.perf_counter() - start < 10.0
-
-    _run(3, "pair-transform exact invariance and boost metric preservation", body)
 
 
 def test_criterion_04_kinematics_identity():
@@ -211,15 +181,6 @@ def test_criterion_08_reversal_law():
             assert got.weight == expected
 
     _run(8, "derived zero-momentum weight equals (1/sqrt 2)^L * i^R exactly", body)
-
-
-def test_criterion_09_small_step_bridge():
-    def body():
-        for m_eps in (0.1, 0.01):
-            pp = propagators_from_mass(m_eps, 1.0)
-            assert abs(pp.reversal_entry - 1j * m_eps) <= abs(m_eps) ** 3
-
-    _run(9, "reversal amplitude i*sin(m*eps) matches i*m*eps to cubic order", body)
 
 
 def test_criterion_10_poset_axioms():
