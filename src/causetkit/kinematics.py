@@ -198,13 +198,10 @@ def transform_rates(r_p, r_q, relation: LinearRelation):
 
 
 def transform_energy_momentum(energy, momentum, relation: LinearRelation):
-    """Boost in the spacetime picture: E' = gamma*E + beta*gamma*p and symmetrically."""
-    gamma = relation.gamma
-    beta_gamma = relation.beta_gamma
-    return (
-        gamma * energy + beta_gamma * momentum,
-        beta_gamma * energy + gamma * momentum,
-    )
+    """Boost in the spacetime picture: transform_rates on the rates (E - p, E + p), read
+    back as E' = (r_q' + r_p')/2, p' = (r_q' - r_p')/2; exact for an exact E and p."""
+    r_p, r_q = transform_rates(energy - momentum, energy + momentum, relation)
+    return collapse((r_q + r_p) * HALF), collapse((r_q - r_p) * HALF)
 
 
 def random_sequence(length: int, prob_p: float, seed: int) -> InfluenceSequence:

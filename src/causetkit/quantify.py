@@ -158,7 +158,7 @@ def interval_scalar(pair: IntervalPair) -> IntervalScalar:
     and a NaN or infinite component raises ValueError."""
     if not (-math.inf < pair.dp < math.inf and -math.inf < pair.dq < math.inf):
         raise ValueError(f"interval scalar is not a number: dp={pair.dp!r}, dq={pair.dq!r}")
-    value = pair.dp * pair.dq
+    value = collapse(pair.dp * pair.dq)
     if value > 0:
         kind = CHAIN_LIKE
     elif value < 0:
@@ -222,16 +222,18 @@ class LinearRelation:
         return sqrt_exact(m / n)
 
 
+def _rescale(dp, dq, k):
+    """The k-calculus boost (k*dp, dq/k), each component collapsed."""
+    return collapse(dp * k), collapse(dq / k)
+
+
 def pair_transform(pair: IntervalPair, relation: LinearRelation) -> IntervalPair:
     """Rescale a pair by (sqrt(m/n), sqrt(n/m)); the product dp*dq is invariant.
 
     Components stay exact for rational inputs: a perfect-square ratio m/n
     collapses back to rationals, otherwise the component is an exact surd.
     """
-    boost = relation.boost()
-    return IntervalPair(
-        collapse(pair.dp * boost), collapse(pair.dq / boost), pair.mode
-    )
+    return IntervalPair(*_rescale(pair.dp, pair.dq, relation.boost()), pair.mode)
 
 
 def check_coordination(
@@ -323,20 +325,20 @@ def from_spacetime(st: SpacetimeInterval, mode: str = MODE_COORDINATED) -> Inter
 
 def metric_scalar(st: SpacetimeInterval):
     """dt^2 - dx^2, equal to the interval scalar dp*dq."""
-    return st.dt * st.dt - st.dx * st.dx
+    return collapse(st.dt * st.dt - st.dx * st.dx)
 
 
-def lorentz_transform(st: SpacetimeInterval, beta: float) -> SpacetimeInterval:
-    """Passive boost by the new frame's speed beta (|beta| < 1).
-
-    dt' = gamma*(dt - beta*dx), dx' = gamma*(dx - beta*dt); the metric
-    scalar dt^2 - dx^2 is invariant.
-    """
+def lorentz_transform(st: SpacetimeInterval, beta) -> SpacetimeInterval:
+    """Passive boost by the new frame's speed beta (|beta| < 1): the pair (p, q) =
+    (dt + dx, dt - dx) goes to (k*p, q/k), k = sqrt((1 - beta)/(1 + beta)), as in
+    pair_transform, and back as dt' = (p' + q')/2, dx' = (p' - q')/2, keeping dt^2 - dx^2;
+    exact for an exact beta and exact components, and a float for a float."""
     if not abs(beta) < 1:
         raise ValueError(f"|beta| must be < 1, got {beta}")
-    gamma = 1 / math.sqrt(1 - beta * beta)
-    dt, dx = st.dt, st.dx
-    return SpacetimeInterval(gamma * (dt - beta * dx), gamma * (dx - beta * dt))
+    # halving both sides keeps the ratio exact for an int beta
+    k = sqrt_exact_or_float((1 - beta) * HALF / ((1 + beta) * HALF))
+    p, q = _rescale(st.dt + st.dx, st.dt - st.dx, k)
+    return SpacetimeInterval(collapse((p + q) * HALF), collapse((p - q) * HALF))
 
 
 def quantification_rows(

@@ -24,7 +24,14 @@ from fractions import Fraction
 
 import pytest
 
-from causetkit import kernel_matrix, kinematic_state, propagators_from_mass
+from causetkit import (
+    IntervalPair,
+    LinearRelation,
+    kernel_matrix,
+    kinematic_state,
+    pair_transform,
+    propagators_from_mass,
+)
 
 MASS, T = 1.0, 3.0
 # the largest error at N = 150, 300 and 600 is 2.155e-2, 1.067e-2 and 5.372e-3
@@ -123,3 +130,34 @@ def test_the_lattice_moves_at_the_particles_beta():
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 3.9 <= coarse / fine <= 4.1
     assert gaps[-1] < 2e-5
+
+
+def test_observers_in_relative_motion_see_the_same_amplitudes():
+    # the kernel at n_P P-moves and n_Q Q-moves sits at t = (n_P + n_Q) eps and
+    # x = (n_P - n_Q) eps, so t^2 - x^2 = 4 n_P n_Q eps^2 and (t + x)/(t - x)
+    # = n_P/n_Q.  The boost LinearRelation(4, 1) maps the pair (n_P, n_Q) to
+    # (2 n_P, n_Q/2): in the continuum K_Q is unchanged and K_P doubles.  The
+    # ends' K_Q/eps differed by 0.0097, 0.0051 and 0.0025 at these eps, and
+    # neighbouring K_P ratios missed 2 by 3.4e-4, 8.1e-5 and 2.0e-5: first and
+    # second order in eps
+    q_gaps, p_gaps = [], []
+    for eps in (0.02, 0.01, 0.005):
+        a = round(0.75 / eps)
+        points = [IntervalPair(a, 4 * a)]
+        for _ in range(2):
+            points.append(pair_transform(points[-1], LinearRelation(4, 1)))
+        pp = propagators_from_mass(MASS, eps)
+        amplitudes = []
+        for point in points:
+            assert point.dp.denominator == point.dq.denominator == 1
+            n_p, n_q = int(point.dp), int(point.dq)
+            kernel = kernel_matrix(n_p + n_q, pp, "P")
+            amplitudes.append({h: kernel[(n_p - n_q, h)] / eps for h in "PQ"})
+        q_gaps.append(abs(amplitudes[2]["Q"] - amplitudes[0]["Q"]))
+        p_gaps.append(max(abs(hi["P"] / lo["P"] - 2) for lo, hi in zip(amplitudes, amplitudes[1:])))
+    for coarse, fine in zip(q_gaps, q_gaps[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+    for coarse, fine in zip(p_gaps, p_gaps[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+    assert q_gaps[-1] < 3e-3
+    assert p_gaps[-1] < 2.5e-5

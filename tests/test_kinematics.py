@@ -350,6 +350,14 @@ class TestAgainstTypeBranches:
         assert bits(rel.k) == bits(branching_k(rel.m, rel.n))
 
 
+def gamma_energy_momentum(energy, momentum, relation):
+    """The gamma form of the boost, E' = gamma*E + beta*gamma*p and
+    p' = beta*gamma*E + gamma*p, which transform_energy_momentum used before it
+    became transform_rates, kept as a float oracle."""
+    gamma, beta_gamma = relation.gamma, relation.beta_gamma
+    return gamma * energy + beta_gamma * momentum, beta_gamma * energy + gamma * momentum
+
+
 class TestEnergyMomentumTransforms:
     def test_rest_particle(self):
         rel = LinearRelation(4, 1)
@@ -374,6 +382,33 @@ class TestEnergyMomentumTransforms:
         scale = 1 + abs(energy)
         assert abs(float(direct.energy) - energy) < 1e-12 * scale
         assert abs(float(direct.momentum) - momentum) < 1e-12 * scale
+
+    def test_result_types(self):
+        energy, momentum = transform_energy_momentum(Fraction(3), 0, LinearRelation(4, 1))
+        assert (energy, momentum) == (Fraction(15, 4), Fraction(9, 4))
+        assert type(energy) is Fraction and type(momentum) is Fraction
+        energy, momentum = transform_energy_momentum(3.0, 0.0, LinearRelation(4, 1))
+        assert type(energy) is float and type(momentum) is float
+
+    @given(r_p=positive_rates, r_q=positive_rates, m=positive_constants, n=positive_constants)
+    def test_exact_input_is_the_rates_boost(self, r_p, r_q, m, n):
+        rel = LinearRelation(m, n)
+        state = kinematic_state(r_p, r_q)
+        direct = kinematic_state(*transform_rates(r_p, r_q, rel))
+        assert transform_energy_momentum(state.energy, state.momentum, rel) == (
+            direct.energy, direct.momentum
+        )
+
+    @given(r_p=positive_rates, r_q=positive_rates, m=positive_constants, n=positive_constants)
+    def test_matches_the_gamma_oracle(self, r_p, r_q, m, n):
+        rel = LinearRelation(m, n)
+        state = kinematic_state(r_p, r_q)
+        energy, momentum = float(state.energy), float(state.momentum)
+        got = transform_energy_momentum(energy, momentum, rel)
+        expected = gamma_energy_momentum(energy, momentum, rel)
+        scale = 1 + abs(expected[0])
+        for a, b in zip(got, expected):
+            assert abs(a - b) < 1e-12 * scale
 
 
 class TestRandomSequences:

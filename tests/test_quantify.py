@@ -231,6 +231,10 @@ class TestIntervalScalar:
         assert scalar.value == 9
         assert scalar.kind == CHAIN_LIKE
 
+    def test_rational_surd_product_is_a_fraction(self):
+        scalar = interval_scalar(IntervalPair(sqrt_exact(2), sqrt_exact(8)))
+        assert scalar.value == 4 and type(scalar.value) is Fraction
+
     @given(dp=rationals, dq=rationals, c=rationals)
     def test_scale_homogeneity(self, dp, dq, c):
         base = interval_scalar(IntervalPair(dp, dq)).value
@@ -567,6 +571,20 @@ class TestAgainstIntPromotion:
         assert scalar.kind == interval_scalar(IntervalPair(dp, dq)).kind
 
 
+def gamma_boost(st_interval, beta):
+    """The gamma form of the boost, dt' = gamma*(dt - beta*dx) and
+    dx' = gamma*(dx - beta*dt), which lorentz_transform used before it became
+    the pair rescaling, kept as a numpy-free float oracle."""
+    gamma = 1 / math.sqrt(1 - beta * beta)
+    dt, dx = st_interval.dt, st_interval.dx
+    return gamma * (dt - beta * dx), gamma * (dx - beta * dt)
+
+
+exact_betas = st.fractions(
+    min_value=Fraction(-24, 25), max_value=Fraction(24, 25), max_denominator=25
+)
+
+
 class TestLorentz:
     def test_identity_at_rest(self):
         out = lorentz_transform(SpacetimeInterval(2.0, 1.0), 0.0)
@@ -582,6 +600,45 @@ class TestLorentz:
     def test_rejects_superluminal(self):
         with pytest.raises(ValueError):
             lorentz_transform(SpacetimeInterval(1, 0), 1.0)
+
+    def test_result_types(self):
+        out = lorentz_transform(SpacetimeInterval(3, 1), Fraction(3, 5))
+        assert out == SpacetimeInterval(Fraction(3), Fraction(-1))
+        assert type(out.dt) is Fraction and type(out.dx) is Fraction
+        # k = sqrt(1/5): the components are surds, but the metric is rational
+        out = lorentz_transform(SpacetimeInterval(3, 1), Fraction(2, 3))
+        assert (repr(out.dt), repr(out.dx)) == (
+            "Surd(7, radicand=1/5)", "Surd(-3, radicand=1/5)"
+        )
+        assert type(metric_scalar(out)) is Fraction and metric_scalar(out) == 8
+        # k = sqrt(1/2): dt' is a surd, and dx' cancels to a rational zero
+        out = lorentz_transform(SpacetimeInterval(3, 1), Fraction(1, 3))
+        assert type(out.dx) is Fraction and out.dx == 0
+        out = lorentz_transform(SpacetimeInterval(3, 1), 0)
+        assert out == SpacetimeInterval(3, 1)
+        assert type(out.dt) is Fraction and type(out.dx) is Fraction
+        out = lorentz_transform(SpacetimeInterval(3.0, 1.0), 0.6)
+        assert type(out.dt) is float and type(out.dx) is float
+
+    @given(dt=rationals, dx=rationals, beta=exact_betas)
+    def test_exact_beta_is_the_pair_rescaling(self, dt, dx, beta):
+        st_interval = SpacetimeInterval(dt, dx)
+        out = lorentz_transform(st_interval, beta)
+        assert metric_scalar(out) == metric_scalar(st_interval)
+        via_pair = pair_transform(from_spacetime(st_interval), LinearRelation(1 - beta, 1 + beta))
+        assert out == to_spacetime(via_pair)
+
+    @given(
+        dt=rationals,
+        dx=rationals,
+        beta=st.floats(-0.99, 0.99).filter(lambda b: abs(b) < 0.995),
+    )
+    def test_matches_the_gamma_oracle(self, dt, dx, beta):
+        st_interval = SpacetimeInterval(float(dt), float(dx))
+        out = lorentz_transform(st_interval, beta)
+        scale = 1 + abs(dt) + abs(dx)
+        for got, expected in zip((out.dt, out.dx), gamma_boost(st_interval, beta)):
+            assert abs(got - expected) <= 1e-12 * scale
 
     def test_composition_matches_matrix_oracle(self, np):
         def boost_matrix(beta):
